@@ -33,81 +33,6 @@ void RankMetrics::accumulate(const RankMetrics& other) {
   blocks_adopted += other.blocks_adopted;
 }
 
-namespace {
-template <typename T, typename F>
-T accumulate_ranks(const std::vector<RankMetrics>& ranks, F f) {
-  T total{};
-  for (const RankMetrics& r : ranks) total += f(r);
-  return total;
-}
-}  // namespace
-
-double RunMetrics::total_io_time() const {
-  return accumulate_ranks<double>(ranks,
-                                  [](const RankMetrics& r) { return r.io_time; });
-}
-double RunMetrics::total_comm_time() const {
-  return accumulate_ranks<double>(
-      ranks, [](const RankMetrics& r) { return r.comm_time; });
-}
-double RunMetrics::total_compute_time() const {
-  return accumulate_ranks<double>(
-      ranks, [](const RankMetrics& r) { return r.compute_time; });
-}
-std::uint64_t RunMetrics::total_blocks_loaded() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.blocks_loaded; });
-}
-std::uint64_t RunMetrics::total_blocks_purged() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.blocks_purged; });
-}
-std::uint64_t RunMetrics::total_bytes_read() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.bytes_read; });
-}
-std::uint64_t RunMetrics::total_messages() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.messages_sent; });
-}
-std::uint64_t RunMetrics::total_bytes_sent() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.bytes_sent; });
-}
-std::uint64_t RunMetrics::total_control_messages() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.control_messages_sent; });
-}
-std::uint64_t RunMetrics::total_steps() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.steps; });
-}
-
-std::uint64_t RunMetrics::total_cache_hits() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.cache_hits; });
-}
-std::uint64_t RunMetrics::total_cache_misses() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.cache_misses; });
-}
-std::uint64_t RunMetrics::total_prefetches_issued() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.prefetches_issued; });
-}
-std::uint64_t RunMetrics::total_prefetch_hits() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.prefetch_hits; });
-}
-std::uint64_t RunMetrics::total_prefetches_wasted() const {
-  return accumulate_ranks<std::uint64_t>(
-      ranks, [](const RankMetrics& r) { return r.prefetches_wasted; });
-}
-double RunMetrics::total_stall_time() const {
-  return accumulate_ranks<double>(
-      ranks, [](const RankMetrics& r) { return r.stall_time; });
-}
-
 double RunMetrics::block_efficiency() const {
   const std::uint64_t loaded = total_blocks_loaded();
   if (loaded == 0) return 1.0;

@@ -87,22 +87,53 @@ struct RunMetrics {
   // Empty for runs that seeded no live particles.
   std::vector<QueryCompletion> query_completions;
 
-  double total_io_time() const;
-  double total_comm_time() const;
-  double total_compute_time() const;
-  std::uint64_t total_blocks_loaded() const;
-  std::uint64_t total_blocks_purged() const;
-  std::uint64_t total_bytes_read() const;
-  std::uint64_t total_messages() const;
-  std::uint64_t total_bytes_sent() const;
-  std::uint64_t total_control_messages() const;
-  std::uint64_t total_steps() const;
-  std::uint64_t total_cache_hits() const;
-  std::uint64_t total_cache_misses() const;
-  std::uint64_t total_prefetches_issued() const;
-  std::uint64_t total_prefetch_hits() const;
-  std::uint64_t total_prefetches_wasted() const;
-  double total_stall_time() const;
+  // Sum of one per-rank counter over all ranks, in rank order.
+  template <typename T>
+  T total(T RankMetrics::*counter) const {
+    T sum{};
+    for (const RankMetrics& r : ranks) sum += r.*counter;
+    return sum;
+  }
+  double total_io_time() const { return total(&RankMetrics::io_time); }
+  double total_comm_time() const { return total(&RankMetrics::comm_time); }
+  double total_compute_time() const {
+    return total(&RankMetrics::compute_time);
+  }
+  std::uint64_t total_blocks_loaded() const {
+    return total(&RankMetrics::blocks_loaded);
+  }
+  std::uint64_t total_blocks_purged() const {
+    return total(&RankMetrics::blocks_purged);
+  }
+  std::uint64_t total_bytes_read() const {
+    return total(&RankMetrics::bytes_read);
+  }
+  std::uint64_t total_messages() const {
+    return total(&RankMetrics::messages_sent);
+  }
+  std::uint64_t total_bytes_sent() const {
+    return total(&RankMetrics::bytes_sent);
+  }
+  std::uint64_t total_control_messages() const {
+    return total(&RankMetrics::control_messages_sent);
+  }
+  std::uint64_t total_steps() const { return total(&RankMetrics::steps); }
+  std::uint64_t total_cache_hits() const {
+    return total(&RankMetrics::cache_hits);
+  }
+  std::uint64_t total_cache_misses() const {
+    return total(&RankMetrics::cache_misses);
+  }
+  std::uint64_t total_prefetches_issued() const {
+    return total(&RankMetrics::prefetches_issued);
+  }
+  std::uint64_t total_prefetch_hits() const {
+    return total(&RankMetrics::prefetch_hits);
+  }
+  std::uint64_t total_prefetches_wasted() const {
+    return total(&RankMetrics::prefetches_wasted);
+  }
+  double total_stall_time() const { return total(&RankMetrics::stall_time); }
 
   // E = (B_loaded - B_purged) / B_loaded, eq. (2).  Defined as 1 when no
   // blocks were loaded.

@@ -5,14 +5,36 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "io/checkpoint_io.hpp"
 
 namespace sf {
 
+namespace {
+// The particles a message carries and the block they target; nullptr
+// for pure control traffic.
+std::vector<Particle>* particle_payload(Message& msg, BlockId& block) {
+  if (auto* b = std::get_if<ParticleBatch>(&msg.payload)) {
+    block = b->block;
+    return &b->particles;
+  }
+  if (auto* c = std::get_if<Command>(&msg.payload)) {
+    block = c->block;
+    return &c->particles;
+  }
+  if (auto* t = std::get_if<SeedTransfer>(&msg.payload)) return &t->seeds;
+  if (auto* u = std::get_if<Undeliverable>(&msg.payload)) {
+    block = u->block;
+    return &u->particles;
+  }
+  return nullptr;
+}
+}  // namespace
+
 // Per-rank state + the RankContext implementation handed to the program.
+// The block plane holds the rank-side block state; this class is its
+// DES read backend: a read is a disk-channel event.
 class SimRuntime::Context final : public RankContext {
  public:
   Context(SimRuntime* runtime, SimEngine* engine, SharedDisk* disk,
@@ -22,7 +44,10 @@ class SimRuntime::Context final : public RankContext {
         disk_(disk),
         network_(network),
         rank_(rank),
-        cache_(runtime->config_.cache_blocks) {}
+        plane_(rank, runtime->config_.cache_blocks, runtime->config_.async_io,
+               runtime->config_.model.particle_memory_bytes,
+               *runtime->source_, metrics, runtime->checker_,
+               [engine] { return engine->now(); }) {}
 
   // --- RankContext -----------------------------------------------------
 
@@ -44,134 +69,58 @@ class SimRuntime::Context final : public RankContext {
                       on_send(rank_, to, msg, engine_->now()));
     const std::size_t bytes =
         message_bytes(msg, runtime_->config_.carry_geometry);
-    metrics.comm_time += network_->endpoint_cost(bytes);
-    metrics.messages_sent += 1;
-    metrics.bytes_sent += bytes;
-    if (!std::holds_alternative<ParticleBatch>(msg.payload)) {
-      metrics.control_messages_sent += 1;
-    }
+    count_send(bytes, !std::holds_alternative<ParticleBatch>(msg.payload));
     const SimTime arrive = network_->delivery_time(engine_->now(), bytes);
     if (runtime_->fault_) {
       runtime_->fault_send(rank_, to, arrive, bytes, std::move(msg));
       return;
     }
-    Context* dest = runtime_->contexts_[static_cast<std::size_t>(to)].get();
-    engine_->schedule_at(arrive, [dest, bytes, m = std::move(msg)]() mutable {
-      dest->metrics.comm_time += dest->network_->endpoint_cost(bytes);
-      dest->metrics.bytes_received += bytes;
-      SF_INVARIANT_HOOK(dest->runtime_->checker_,
-                        on_deliver(dest->rank_, m, dest->engine_->now()));
-      dest->program->on_message(*dest, std::move(m));
-      dest->runtime_->refresh_finished(dest->rank_);
-    });
+    engine_->schedule_at(
+        arrive, [rt = runtime_, to, bytes, m = std::move(msg)]() mutable {
+          rt->deliver(to, bytes, std::move(m));
+        });
   }
 
   void request_block(BlockId id) override {
-    if (cache_.contains(id)) {
-      // Hit: re-insert touches LRU; notify at the current instant.
-      engine_->schedule_at(engine_->now(), [this, id] {
-        if (dead()) return;
-        program->on_block_loaded(*this, id);
-        runtime_->refresh_finished(rank_);
-      });
-      return;
+    switch (plane_.demand(id)) {
+      case RankBlockPlane::Demand::kResident:
+        // Notify at the current instant, like every completion.
+        engine_->schedule_at(engine_->now(), [this, id] {
+          if (!dead()) notify_loaded(id);
+        });
+        return;
+      case RankBlockPlane::Demand::kPending:
+        return;
+      case RankBlockPlane::Demand::kInFlight:
+        // Piggyback on the prefetch's read: the rank only stalls for the
+        // remaining read time (a partial overlap beats a cold read).
+        demand_since_[id] = engine_->now();
+        return;
+      case RankBlockPlane::Demand::kMiss:
+        start_read(id, /*attempt=*/0, /*prefetch=*/false);
+        return;
     }
-    if (pending_.count(id) != 0) return;  // coalesce duplicate requests
-    // Async staging: a prefetched block is promoted into the cache at
-    // the moment of demand — this is when the load "happens" for LRU
-    // order and E-metric purposes, so the accounting stays identical to
-    // the sync path (and the stall is zero).  Both branches are
-    // unreachable with async I/O off.
-    auto st = staged_.find(id);
-    if (st != staged_.end()) {
-      ++metrics.prefetch_hits;
-      GridPtr grid = std::move(st->second);
-      staged_.erase(st);
-      staged_order_.erase(
-          std::remove(staged_order_.begin(), staged_order_.end(), id),
-          staged_order_.end());
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_claimed(rank_, id, engine_->now()));
-      cache_.insert(id, std::move(grid));
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_block_insert(rank_, id, cache_.resident(), engine_->now()));
-      sync_cache_counters();
-      engine_->schedule_at(engine_->now(), [this, id] {
-        if (dead()) return;
-        program->on_block_loaded(*this, id);
-        runtime_->refresh_finished(rank_);
-      });
-      return;
-    }
-    if (prefetch_inflight_.count(id) != 0) {
-      // Demand overtook an in-flight prefetch: piggyback on its read.
-      // The completion finishes this request; the rank only stalls for
-      // the remaining read time (a partial overlap still beats a cold
-      // read).
-      pending_.insert(id);
-      demand_since_[id] = engine_->now();
-      return;
-    }
-    pending_.insert(id);
-    start_read(id, /*attempt=*/0);
   }
 
   void prefetch_block(BlockId id) override {
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    if (!aio.enabled) return;
-    if (cache_.contains(id) || pending_.count(id) != 0 ||
-        staged_.count(id) != 0 || prefetch_inflight_.count(id) != 0) {
-      return;
+    if (plane_.issue_prefetch(id)) {
+      start_read(id, /*attempt=*/0, /*prefetch=*/true);
     }
-    if (prefetch_inflight_.size() >=
-        static_cast<std::size_t>(std::max(1, aio.prefetch_depth))) {
-      return;  // depth-limited; dropping a hint is always legal
-    }
-    prefetch_inflight_.insert(id);
-    ++metrics.prefetches_issued;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_prefetch_issued(rank_, id, engine_->now()));
-    start_prefetch_read(id, /*attempt=*/0);
   }
 
   int prefetch_capacity() const override {
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    return aio.enabled ? std::max(1, aio.prefetch_depth) : 0;
+    return plane_.prefetch_capacity();
   }
-
-  void pin_block(BlockId id) override {
-    cache_.pin(id);
-    SF_INVARIANT_HOOK(runtime_->checker_, on_block_pin(rank_, id));
-  }
-
-  void unpin_block(BlockId id) override {
-    cache_.unpin(id);  // may run the deferred eviction
-    sync_cache_counters();
-    SF_INVARIANT_HOOK(
-        runtime_->checker_,
-        on_block_unpin(rank_, id, cache_.resident(), engine_->now()));
-  }
-
+  void pin_block(BlockId id) override { plane_.pin(id); }
+  void unpin_block(BlockId id) override { plane_.unpin(id); }
   bool block_resident(BlockId id) const override {
-    return cache_.contains(id);
+    return plane_.resident(id);
   }
-  bool block_pending(BlockId id) const override {
-    return pending_.count(id) != 0;
-  }
-
+  bool block_pending(BlockId id) const override { return plane_.pending(id); }
   std::vector<BlockId> resident_blocks() const override {
-    return cache_.resident();
+    return plane_.resident_blocks();
   }
-
-  const StructuredGrid* block(BlockId id) override {
-    const StructuredGrid* grid = cache_.find(id);
-    if (grid != nullptr) {
-      // find() moved the block to the front of the LRU; mirror it.
-      SF_INVARIANT_HOOK(runtime_->checker_, on_block_touch(rank_, id));
-    }
-    return grid;
-  }
+  const StructuredGrid* block(BlockId id) override { return plane_.block(id); }
 
   void begin_compute(double seconds, std::uint64_t steps) override {
     if (busy_) {
@@ -201,18 +150,7 @@ class SimRuntime::Context final : public RankContext {
   bool busy() const override { return busy_; }
 
   void charge_particle_memory(std::int64_t delta_bytes) override {
-    particle_bytes_ += delta_bytes;
-    if (particle_bytes_ < 0) particle_bytes_ = 0;  // paranoia
-    metrics.peak_particle_bytes =
-        std::max(metrics.peak_particle_bytes,
-                 static_cast<std::size_t>(particle_bytes_));
-    if (static_cast<std::size_t>(particle_bytes_) >
-        runtime_->config_.model.particle_memory_bytes) {
-      metrics.oom = true;
-      throw SimAbort("rank " + std::to_string(rank_) +
-                         " exceeded its particle memory budget",
-                     rank_);
-    }
+    plane_.charge_particle_memory(delta_bytes);
   }
 
   // --- fault hooks -------------------------------------------------------
@@ -245,7 +183,7 @@ class SimRuntime::Context final : public RankContext {
     }
     SF_INVARIANT_HOOK(runtime_->checker_,
                       on_terminated(rank_, p, first, engine_->now()));
-    if (first) runtime_->note_query_termination(p);
+    if (first) runtime_->board_.note_termination(p, engine_->now());
     return first;
   }
 
@@ -259,51 +197,14 @@ class SimRuntime::Context final : public RankContext {
 
   // --- runtime-side ------------------------------------------------------
 
-  void sync_cache_counters() {
-    metrics.blocks_loaded = cache_.loads();
-    metrics.blocks_purged = cache_.purges();
-    metrics.cache_hits = cache_.hits();
-    metrics.cache_misses = cache_.misses();
-    metrics.blocks_adopted = cache_.adopted();
-  }
+  RankBlockPlane& plane() { return plane_; }
 
-  const BlockCache& cache() const { return cache_; }
-
-  // Warm start from a previous run's captured residency (cross-query
-  // sharing).  `blocks` is MRU first; adopting LRU-last -> MRU-first
-  // rebuilds the same recency order, and each adoption replays through
-  // the checker's LRU model so coherence checks keep holding.
-  void adopt_shared(const std::vector<std::pair<BlockId, GridPtr>>& blocks) {
-    const std::size_t n = std::min(blocks.size(), cache_.capacity());
-    for (std::size_t i = n; i-- > 0;) {
-      cache_.adopt(blocks[i].first, blocks[i].second);
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_block_insert(rank_, blocks[i].first, cache_.resident(),
-                          engine_->now()));
-    }
-    sync_cache_counters();
-  }
-
-  // Discard whatever the prefetch pipeline still holds (staged grids a
-  // demand never claimed, in-flight reads of an aborted run) so every
-  // issued prefetch is resolved before the run ends.  Called by run()
-  // for live ranks only: a crashed rank's obligations were already
-  // cleared by the checker's on_crash.
-  void resolve_outstanding_prefetches() {
-    for (const BlockId id : staged_order_) {
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_cancelled(rank_, id, engine_->now()));
-    }
-    staged_.clear();
-    staged_order_.clear();
-    for (const BlockId id : prefetch_inflight_) {
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_cancelled(rank_, id, engine_->now()));
-    }
-    prefetch_inflight_.clear();
+  // Sender-side accounting of one transmission.
+  void count_send(std::size_t bytes, bool control) {
+    metrics.comm_time += network_->endpoint_cost(bytes);
+    metrics.messages_sent += 1;
+    metrics.bytes_sent += bytes;
+    if (control) metrics.control_messages_sent += 1;
   }
 
   std::unique_ptr<RankProgram> program;
@@ -312,8 +213,20 @@ class SimRuntime::Context final : public RankContext {
  private:
   bool dead() const { return !runtime_->rank_alive(rank_); }
 
-  void start_read(BlockId id, int attempt) {
-    const std::size_t bytes = runtime_->source_->block_bytes(id);
+  void notify_loaded(BlockId id) {
+    program->on_block_loaded(*this, id);
+    runtime_->refresh_finished(rank_);
+  }
+
+  // One disk read attempt.  A demand read stalls the rank for its whole
+  // service time; a prefetch models ThreadRuntime's loader pool: it
+  // burns disk channel time but the rank keeps computing.  Both draw
+  // faults from the injector and walk the same capped-backoff retry
+  // ladder.  An exhausted demand read crashes the rank; an exhausted
+  // prefetch is abandoned (a later demand re-reads cold) unless a demand
+  // already piggybacked on it.
+  void start_read(BlockId id, int attempt, bool prefetch) {
+    const std::size_t bytes = plane_.count_read(id);
     SimTime done = disk_->submit_read(engine_->now(), bytes);
     bool faulted = false;
     if (runtime_->fault_) {
@@ -343,151 +256,56 @@ class SimRuntime::Context final : public RankContext {
         ++metrics.disk_stall_events;
       }
     }
-    metrics.io_time += done - engine_->now();
-    metrics.stall_time += done - engine_->now();
-    metrics.bytes_read += bytes;
-    if (runtime_->timeline_) {
-      runtime_->timeline_->add(rank_, TimelineSpan::Kind::kIo,
-                               engine_->now(), done);
+    if (!prefetch) {
+      metrics.io_time += done - engine_->now();
+      metrics.stall_time += done - engine_->now();
+      if (runtime_->timeline_) {
+        runtime_->timeline_->add(rank_, TimelineSpan::Kind::kIo,
+                                 engine_->now(), done);
+      }
     }
     if (faulted) {
       // The channel did the work but the payload is garbage: back off and
-      // retry, and give up on the rank after disk_max_retries attempts.
-      engine_->schedule_at(done, [this, id, attempt] {
+      // retry, and give up after disk_max_retries attempts.
+      engine_->schedule_at(done, [this, id, attempt, prefetch] {
         if (dead()) return;
         if (attempt + 1 > runtime_->config_.fault.disk_max_retries) {
-          runtime_->crash_rank(rank_, /*from_oom=*/false);
+          if (prefetch && !plane_.pending(id)) {
+            plane_.abandon_prefetch(id);
+          } else {
+            runtime_->crash_rank(rank_, /*from_oom=*/false);
+          }
           return;
         }
         const double backoff =
             std::min(runtime_->config_.fault.disk_retry_backoff *
                          std::ldexp(1.0, attempt),
                      runtime_->config_.fault.disk_backoff_cap);
-        engine_->schedule_after(backoff, [this, id, attempt] {
+        engine_->schedule_after(backoff, [this, id, attempt, prefetch] {
           if (dead()) return;
           ++metrics.disk_retries;
-          start_read(id, attempt + 1);
+          start_read(id, attempt + 1, prefetch);
         });
       });
       return;
     }
-    engine_->schedule_at(done, [this, id] {
+    engine_->schedule_at(done, [this, id, prefetch] {
       if (dead()) return;
       // The real payload is fetched at completion time (memoized inside
       // the source, so host memory holds each block once).
-      cache_.insert(id, runtime_->source_->load(id));
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_block_insert(rank_, id, cache_.resident(), engine_->now()));
-      pending_.erase(id);
-      sync_cache_counters();
-      program->on_block_loaded(*this, id);
-      runtime_->refresh_finished(rank_);
-    });
-  }
-
-  // A background read modeling ThreadRuntime's loader pool: it burns
-  // disk channel time but charges the rank no io/stall time — the rank
-  // keeps computing.  Faults and stalls draw from the same injector
-  // streams with the same capped-backoff retry ladder as demand reads;
-  // a pure prefetch whose retries are exhausted is abandoned (a later
-  // demand re-reads cold), but one a demand already piggybacked on
-  // crashes the rank exactly like a failed demand load.
-  void start_prefetch_read(BlockId id, int attempt) {
-    const std::size_t bytes = runtime_->source_->block_bytes(id);
-    SimTime done = disk_->submit_read(engine_->now(), bytes);
-    bool faulted = false;
-    if (runtime_->fault_) {
-      FaultState& fs = *runtime_->fault_;
-      if (fs.injector.draw_disk_fault()) {
-        faulted = true;
-        disk_->note_faulted_read();
-        ++fs.stats.disk_faults;
-      } else if (fs.injector.draw_disk_corrupt()) {
-        faulted = true;
-        disk_->note_faulted_read();
-        ++fs.stats.corruptions_injected;
-        ++fs.stats.corruptions_detected;
-      } else if (fs.injector.draw_disk_stall()) {
-        done += runtime_->config_.fault.disk_stall_seconds;
-        ++fs.stats.disk_stalls;
-        ++metrics.disk_stall_events;
-      } else if (fs.injector.draw_disk_slow()) {
-        done = engine_->now() +
-               (done - engine_->now()) * runtime_->config_.fault.disk_slow_factor;
-        ++fs.stats.disk_slow_events;
-        ++metrics.disk_stall_events;
-      }
-    }
-    metrics.bytes_read += bytes;
-    if (faulted) {
-      engine_->schedule_at(done, [this, id, attempt] {
-        if (dead()) return;
-        if (attempt + 1 > runtime_->config_.fault.disk_max_retries) {
-          if (pending_.count(id) != 0) {
-            runtime_->crash_rank(rank_, /*from_oom=*/false);
-            return;
-          }
-          prefetch_inflight_.erase(id);
-          ++metrics.prefetches_wasted;
-          SF_INVARIANT_HOOK(
-              runtime_->checker_,
-              on_prefetch_cancelled(rank_, id, engine_->now()));
-          return;
-        }
-        const double backoff =
-            std::min(runtime_->config_.fault.disk_retry_backoff *
-                         std::ldexp(1.0, attempt),
-                     runtime_->config_.fault.disk_backoff_cap);
-        engine_->schedule_after(backoff, [this, id, attempt] {
-          if (dead()) return;
-          ++metrics.disk_retries;
-          start_prefetch_read(id, attempt + 1);
-        });
-      });
-      return;
-    }
-    engine_->schedule_at(done, [this, id] {
-      if (dead()) return;
-      prefetch_inflight_.erase(id);
-      if (pending_.count(id) != 0) {
-        // A demand piggybacked on this read: complete it now.  The rank
-        // stalled from the demand until this instant.
-        ++metrics.prefetch_hits;
+      GridPtr grid = runtime_->source_->load(id);
+      if (!prefetch) {
+        plane_.complete_load(id, std::move(grid));
+      } else if (plane_.complete_prefetch(id, std::move(grid))) {
+        // The piggybacked demand stalled from its request until now.
         const double waited = engine_->now() - demand_since_[id];
         demand_since_.erase(id);
         metrics.io_time += waited;
         metrics.stall_time += waited;
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_prefetch_claimed(rank_, id, engine_->now()));
-        cache_.insert(id, runtime_->source_->load(id));
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_block_insert(rank_, id, cache_.resident(), engine_->now()));
-        pending_.erase(id);
-        sync_cache_counters();
-        program->on_block_loaded(*this, id);
-        runtime_->refresh_finished(rank_);
-        return;
+      } else {
+        return;  // staged until a demand claims it
       }
-      // Stage it: the grid waits outside the cache until a demand
-      // claims it.  The staging area is bounded; the oldest staged
-      // grid is discarded (a wasted prefetch).
-      staged_[id] = runtime_->source_->load(id);
-      staged_order_.push_back(id);
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_staged(rank_, id, engine_->now()));
-      const std::size_t cap = std::max<std::size_t>(
-          1, runtime_->config_.async_io.staging_blocks);
-      while (staged_.size() > cap) {
-        const BlockId oldest = staged_order_.front();
-        staged_order_.erase(staged_order_.begin());
-        staged_.erase(oldest);
-        ++metrics.prefetches_wasted;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_cancelled(rank_, oldest, engine_->now()));
-      }
+      notify_loaded(id);
     });
   }
 
@@ -496,15 +314,9 @@ class SimRuntime::Context final : public RankContext {
   SharedDisk* disk_;
   Network* network_;
   int rank_;
-  BlockCache cache_;
-  std::set<BlockId> pending_;
-  // Async-I/O state (all empty when config_.async_io.enabled is false).
-  std::set<BlockId> prefetch_inflight_;
-  std::map<BlockId, GridPtr> staged_;      // arrived, not yet claimed
-  std::vector<BlockId> staged_order_;      // oldest first (bounded)
+  RankBlockPlane plane_;
   std::map<BlockId, double> demand_since_;  // piggybacked demand times
   bool busy_ = false;
-  std::int64_t particle_bytes_ = 0;
 };
 
 SimRuntime::SimRuntime(const SimRuntimeConfig& config,
@@ -602,19 +414,22 @@ void SimRuntime::crash_rank(int rank, bool from_oom) {
   // kProgram: the hybrid master notices the missed heartbeats itself.
 }
 
-CrashRecord* SimRuntime::crash_record_of(int rank) {
-  auto& records = fault_->stats.crash_records;
+RecoveredWork SimRuntime::recover_ledger(int dead_rank, int new_owner) {
+  FaultState& fs = *fault_;
+  RecoveredWork work = fs.ledger.recover(dead_rank, new_owner);
+  ++fs.stats.crashes_survived;
+  fs.stats.particles_recovered += work.active.size();
+  fs.stats.time_to_recovery +=
+      engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
+  // Stamp the dead rank's latest crash record.
+  auto& records = fs.stats.crash_records;
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    if (it->rank == rank) return &*it;
+    if (it->rank != dead_rank) continue;
+    if (it->detect_time < 0.0) it->detect_time = engine_->now();
+    if (it->recover_time < 0.0) it->recover_time = engine_->now();
+    break;
   }
-  return nullptr;
-}
-
-void SimRuntime::note_detected_recovered(int dead_rank) {
-  if (CrashRecord* rec = crash_record_of(dead_rank)) {
-    if (rec->detect_time < 0.0) rec->detect_time = engine_->now();
-    if (rec->recover_time < 0.0) rec->recover_time = engine_->now();
-  }
+  return work;
 }
 
 void SimRuntime::runtime_recover(int dead_rank) {
@@ -625,12 +440,7 @@ void SimRuntime::runtime_recover(int dead_rank) {
   const int succ = next != live_ranks_.end() ? *next : *live_ranks_.begin();
 
   FaultState& fs = *fault_;
-  RecoveredWork work = fs.ledger.recover(dead_rank, succ);
-  ++fs.stats.crashes_survived;
-  fs.stats.particles_recovered += work.active.size();
-  fs.stats.time_to_recovery +=
-      engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
-  note_detected_recovered(dead_rank);
+  RecoveredWork work = recover_ledger(dead_rank, succ);
 
   // Termination accounting first: if handing the particles over aborts
   // the run (successor OOM), the global count must already be settled.
@@ -672,12 +482,7 @@ RecoveredWork SimRuntime::recover_for(int recoverer, int dead_rank) {
     kill_rank(dead_rank);
     ++fs.stats.crashes_injected;
   }
-  RecoveredWork work = fs.ledger.recover(dead_rank, recoverer);
-  ++fs.stats.crashes_survived;
-  fs.stats.particles_recovered += work.active.size();
-  fs.stats.time_to_recovery +=
-      engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
-  note_detected_recovered(dead_rank);
+  RecoveredWork work = recover_ledger(dead_rank, recoverer);
   SF_INVARIANT_HOOK(
       checker_,
       on_recover(dead_rank, recoverer, work.active, engine_->now()));
@@ -717,22 +522,10 @@ void SimRuntime::fault_send(int from, int to, SimTime arrive,
 
   // Snoop the payload into the ledger at send time: once a particle is on
   // the wire its state is considered safely logged at the sender.
-  bool carries_particles = false;
-  if (const auto* b = std::get_if<ParticleBatch>(&msg.payload)) {
-    fs.ledger.on_send(b->particles, to);
-    carries_particles = !b->particles.empty();
-  } else if (const auto* c = std::get_if<Command>(&msg.payload)) {
-    if (!c->particles.empty()) {
-      fs.ledger.on_send(c->particles, to);
-      carries_particles = true;
-    }
-  } else if (const auto* t = std::get_if<SeedTransfer>(&msg.payload)) {
-    fs.ledger.on_send(t->seeds, to);
-    carries_particles = !t->seeds.empty();
-  } else if (const auto* u = std::get_if<Undeliverable>(&msg.payload)) {
-    fs.ledger.on_send(u->particles, to);
-    carries_particles = !u->particles.empty();
-  }
+  BlockId block = kInvalidBlock;
+  const std::vector<Particle>* particles = particle_payload(msg, block);
+  const bool carries_particles = particles != nullptr && !particles->empty();
+  if (carries_particles) fs.ledger.on_send(*particles, to);
 
   // Particle-bearing messages keep the drop -> Undeliverable-bounce
   // semantics: the payload must not be duplicated, so the sender is told
@@ -814,11 +607,7 @@ void SimRuntime::transmit_control(int from, int to, std::uint32_t seq,
     ++p.attempts;
     p.rto = std::min(p.rto * 2.0, config_.fault.control_rto_cap);
     ++fault_->stats.control_retransmits;
-    Context* sender = contexts_[static_cast<std::size_t>(from)].get();
-    sender->metrics.comm_time += network_->endpoint_cost(p.bytes);
-    sender->metrics.messages_sent += 1;
-    sender->metrics.bytes_sent += p.bytes;
-    sender->metrics.control_messages_sent += 1;
+    contexts_[static_cast<std::size_t>(from)]->count_send(p.bytes, true);
     transmit_control(from, to, seq,
                      network_->delivery_time(engine_->now(), p.bytes));
   });
@@ -846,12 +635,7 @@ void SimRuntime::deliver_control(int from, int to, std::size_t bytes,
   }
   SF_INVARIANT_HOOK(checker_,
                     on_dedup_window(from, to, win.low_water, engine_->now()));
-  Context* dest = contexts_[static_cast<std::size_t>(to)].get();
-  dest->metrics.comm_time += network_->endpoint_cost(bytes);
-  dest->metrics.bytes_received += bytes;
-  SF_INVARIANT_HOOK(checker_, on_deliver(to, msg, engine_->now()));
-  dest->program->on_message(*dest, std::move(msg));
-  refresh_finished(to);
+  deliver(to, bytes, std::move(msg));
 }
 
 void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
@@ -860,11 +644,7 @@ void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
   ack.from = acker;
   ack.payload = ControlAck{seq};
   const std::size_t bytes = message_bytes(ack, config_.carry_geometry);
-  Context* a = contexts_[static_cast<std::size_t>(acker)].get();
-  a->metrics.comm_time += network_->endpoint_cost(bytes);
-  a->metrics.messages_sent += 1;
-  a->metrics.bytes_sent += bytes;
-  a->metrics.control_messages_sent += 1;
+  contexts_[static_cast<std::size_t>(acker)]->count_send(bytes, true);
   // Acks draw from the same lossy link but are never retransmitted: a
   // lost ack just provokes one more (deduped) retransmit of the data.
   if (fs.injector.draw_message_drop()) {
@@ -899,21 +679,10 @@ void SimRuntime::bounce_undeliverable(int intended, Message msg) {
   // control traffic reaching a dead rank is abandoned by the sender's
   // retransmit check, and anything the dead rank knew is reconstructed
   // through the failover recount.
-  std::vector<Particle> particles;
   BlockId block = kInvalidBlock;
-  if (auto* b = std::get_if<ParticleBatch>(&msg.payload)) {
-    particles = std::move(b->particles);
-    block = b->block;
-  } else if (auto* c = std::get_if<Command>(&msg.payload)) {
-    particles = std::move(c->particles);
-    block = c->block;
-  } else if (auto* t = std::get_if<SeedTransfer>(&msg.payload)) {
-    particles = std::move(t->seeds);
-  } else if (auto* u = std::get_if<Undeliverable>(&msg.payload)) {
-    particles = std::move(u->particles);
-    block = u->block;
-  }
-  if (particles.empty()) return;
+  std::vector<Particle>* payload = particle_payload(msg, block);
+  if (payload == nullptr || payload->empty()) return;
+  std::vector<Particle> particles = std::move(*payload);
 
   // Return to sender; if the sender itself is gone, to the lowest live
   // rank — every program treats an Undeliverable it did not originate as
@@ -995,18 +764,6 @@ void SimRuntime::schedule_checkpoint(double at) {
   });
 }
 
-void SimRuntime::note_query_termination(const Particle& p) {
-  auto it = query_remaining_.find(p.query);
-  // Unknown queries (particles terminated by a test program that never
-  // snapshot them) and already-complete queries are not obligations.
-  if (it == query_remaining_.end() || it->second == 0) return;
-  if (--it->second == 0) {
-    completions_.push_back(QueryCompletion{
-        p.query, engine_->now(), query_total_[p.query]});
-    SF_INVARIANT_HOOK(checker_, on_query_done(p.query, engine_->now()));
-  }
-}
-
 RunMetrics SimRuntime::run(const ProgramFactory& factory) {
   SimEngine engine;
   // Pre-size the event heap: steady state carries a handful of in-flight
@@ -1043,58 +800,20 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
     if (done == 0) ++live_unfinished_;
   }
 
-  checker_ = make_invariant_checker(
-      {.protocol = config_.checked_protocol,
-       .num_ranks = config_.num_ranks,
-       .num_masters = config_.checker_num_masters,
-       .num_roots = config_.checker_num_roots,
-       .num_blocks = decomp_->num_blocks(),
-       .cache_blocks = config_.cache_blocks,
-       .fault_mode = config_.fault.enabled,
-       .track_queries = true});
-  if (checker_) {
-    std::vector<Particle> snap;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      checker_->on_seeded(r, snap);
-    }
-    checker_->on_presettled(config_.fault.presettled);
+  std::vector<RunBoard::Rank> ranks;
+  for (auto& ctx : contexts_) {
+    ranks.push_back({ctx->program.get(), &ctx->plane()});
   }
-
-  // Cross-query warm start: adopt the pool's captured residency before
-  // any program runs, so the first demands of an overlapping query hit.
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      contexts_[static_cast<std::size_t>(r)]->adopt_shared(
-          config_.shared_blocks->blocks(r));
-    }
-  }
-
-  // Per-query completion accounting, from the same seeding snapshots the
-  // checker and ledger see (deduped by particle id: at t = 0 each live
-  // streamline has exactly one owner).
-  query_remaining_.clear();
-  query_total_.clear();
-  completions_.clear();
-  {
-    std::vector<Particle> snap;
-    std::set<std::uint32_t> seen;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      for (const Particle& p : snap) {
-        if (is_terminal(p.status)) continue;
-        if (!seen.insert(p.id).second) continue;
-        ++query_remaining_[p.query];
-      }
-    }
-    query_total_ = query_remaining_;
-    // One completion record per query, known up front.
-    completions_.reserve(query_total_.size());
-  }
+  board_.begin({.protocol = config_.checked_protocol,
+                 .num_ranks = config_.num_ranks,
+                 .num_masters = config_.checker_num_masters,
+                 .num_roots = config_.checker_num_roots,
+                 .num_blocks = decomp_->num_blocks(),
+                 .cache_blocks = config_.cache_blocks,
+                 .fault_mode = config_.fault.enabled,
+                 .track_queries = true},
+                ranks, config_.fault.presettled,
+                config_.shared_blocks, checker_);
 
   // Query cancellation plumbing: the tracer consults the cancel set at
   // every advance; scheduled cancel events populate it mid-run.
@@ -1224,9 +943,11 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
   for (std::size_t r = 0; r < contexts_.size(); ++r) {
     Context* ctx = contexts_[r].get();
     if (rank_alive(static_cast<int>(r))) {
-      ctx->resolve_outstanding_prefetches();
+      ctx->plane().resolve_outstanding_prefetches();
+    } else {
+      ranks[r].plane = nullptr;  // its memory died with it
     }
-    ctx->sync_cache_counters();
+    ctx->plane().sync_counters();
     run_metrics.ranks.push_back(ctx->metrics);
     if (!fault_ && !run_metrics.failed_oom) {
       ctx->program->collect_particles(run_metrics.particles);
@@ -1256,28 +977,7 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
       checker_,
       on_run_end(!run_metrics.failed_oom && any_alive, engine.now()));
   checker_.reset();
-
-  // Capture cross-query residency for the next epoch; a dead rank's
-  // memory died with it.
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      if (rank_alive(r)) {
-        config_.shared_blocks->capture(
-            r, contexts_[static_cast<std::size_t>(r)]->cache());
-      } else {
-        config_.shared_blocks->drop(r);
-      }
-    }
-  }
-
-  std::sort(run_metrics.particles.begin(), run_metrics.particles.end(),
-            [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  std::sort(completions_.begin(), completions_.end(),
-            [](const QueryCompletion& a, const QueryCompletion& b) {
-              return a.query < b.query;
-            });
-  run_metrics.query_completions = std::move(completions_);
-  completions_.clear();
+  board_.finish(run_metrics, config_.shared_blocks, ranks);
   run_metrics.timeline = std::move(timeline_);
   contexts_.clear();
   engine_ = nullptr;

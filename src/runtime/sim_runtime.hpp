@@ -35,6 +35,7 @@
 #include "runtime/block_cache.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rank_context.hpp"
+#include "runtime/run_board.hpp"
 #include "sim/disk.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_engine.hpp"
@@ -179,9 +180,9 @@ class SimRuntime {
   // without transferring ownership.  One re-issue per straggler; the
   // first-terminal-wins ledger dedups the losing copies.
   std::vector<Particle> speculate_for(int speculator, int straggler);
-  // Bookkeeping for the per-crash timeline (satellite of DESIGN.md §11).
-  CrashRecord* crash_record_of(int rank);
-  void note_detected_recovered(int dead_rank);
+  // Re-own a dead rank's ledger streamlines to `new_owner`, counting the
+  // recovery and stamping the per-crash timeline (DESIGN.md §11).
+  RecoveredWork recover_ledger(int dead_rank, int new_owner);
   // Ledger snooping + drop/dead-rank handling for one sent message.
   void fault_send(int from, int to, SimTime arrive, std::size_t bytes,
                   Message msg);
@@ -205,11 +206,6 @@ class SimRuntime {
   void bounce_undeliverable(int intended, Message msg);
   void checkpoint_tick();
   void schedule_checkpoint(double at);
-  // Per-query completion tracking: called on every first-time termination;
-  // fires the completion record (and checker hook) when the query's last
-  // seeded streamline terminates.
-  void note_query_termination(const Particle& p);
-
   SimRuntimeConfig config_;
   const BlockDecomposition* decomp_;
   const BlockSource* source_;
@@ -217,11 +213,7 @@ class SimRuntime {
   // Cancelled-query set consulted by the tracer's fast path; populated by
   // the scheduled QueryCancelAt events.
   QueryCancelSet cancel_set_;
-  // Per-query live-streamline counts (from the seeding snapshots) and the
-  // completion records they produce.
-  std::map<std::uint32_t, std::uint32_t> query_remaining_;
-  std::map<std::uint32_t, std::uint32_t> query_total_;
-  std::vector<QueryCompletion> completions_;
+  RunBoard board_;
   std::vector<std::unique_ptr<Context>> contexts_;
   // O(1)-per-event coordination state (DESIGN.md §15).  The simulator
   // used to sweep every rank after every event to detect quiescence and

@@ -1,13 +1,11 @@
 #include "runtime/thread_runtime.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <exception>
 #include <future>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -16,8 +14,8 @@
 
 #include "core/rng.hpp"
 #include "core/thread_annotations.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/spsc_ring.hpp"
+#include "sim/sim_engine.hpp"
 
 namespace sf {
 
@@ -26,9 +24,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-struct ThreadAbort {};
 }  // namespace
 
+// The block plane holds the rank-side block state; this class is its
+// real read backend: BlockSource::load for a demand miss, and an
+// AsyncBlockLoader future per prefetch.
 class ThreadRuntime::Context final : public RankContext {
  public:
   Context(ThreadRuntime* runtime, int rank,
@@ -38,7 +38,10 @@ class ThreadRuntime::Context final : public RankContext {
         rank_(rank),
         epoch_(epoch),
         abort_(abort),
-        cache_(runtime->config_.cache_blocks),
+        plane_(rank, runtime->config_.cache_blocks, runtime->config_.async_io,
+               runtime->config_.model.particle_memory_bytes,
+               *runtime->source_, metrics, runtime->checker_,
+               [epoch] { return seconds_since(epoch); }),
         fuzz_enabled_(runtime->config_.schedule_fuzz_seed != 0) {
     // Derive a distinct per-rank stream from the shared fuzz seed.
     std::uint64_t sm = runtime->config_.schedule_fuzz_seed +
@@ -89,134 +92,71 @@ class ThreadRuntime::Context final : public RankContext {
   }
 
   void request_block(BlockId id) override {
-    if (cache_.contains(id)) {
-      local_.push_back(id);
-      return;
-    }
-    if (pending_.count(id) != 0) return;
-    // Async staging: a prefetched grid is promoted into the cache at the
-    // moment of demand — that is when the load "happens" for LRU order
-    // and E-metric purposes, so accounting matches the sync path and
-    // the stall is zero.  Unreachable with async I/O off.
-    if (claim_staged(id)) {
-      local_.push_back(id);
-      return;
-    }
-    auto inflight = prefetch_inflight_.find(id);
-    if (inflight != prefetch_inflight_.end()) {
-      // Demand overtook an in-flight prefetch: promote it to the demand
-      // queue and wait out the remaining read (a partial overlap still
-      // beats a cold read).
-      runtime_->loader_->request(id, /*demand=*/true);
-      const auto t0 = std::chrono::steady_clock::now();
-      GridPtr grid;
-      try {
-        grid = inflight->second.get();
-      } catch (...) {
-        grid = nullptr;  // exhausted retries: fall back to a cold read
-      }
-      prefetch_inflight_.erase(inflight);
-      const double waited = seconds_since(t0);
-      metrics.io_time += waited;
-      metrics.stall_time += waited;
-      if (grid != nullptr) {
-        ++metrics.prefetch_hits;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_claimed(rank_, id, seconds_since(epoch_)));
-        cache_.insert(id, std::move(grid));
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_block_insert(rank_, id, cache_.resident(),
-                                          seconds_since(epoch_)));
+    switch (plane_.demand(id)) {
+      case RankBlockPlane::Demand::kResident:
         local_.push_back(id);
         return;
+      case RankBlockPlane::Demand::kPending:
+        return;
+      case RankBlockPlane::Demand::kInFlight: {
+        // Promote the prefetch to the demand queue and wait out the
+        // remaining read (a partial overlap still beats a cold read).
+        runtime_->loader_->request(id, /*demand=*/true);
+        const auto t0 = std::chrono::steady_clock::now();
+        GridPtr grid = take_prefetch(id);
+        const double waited = seconds_since(t0);
+        metrics.io_time += waited;
+        metrics.stall_time += waited;
+        if (plane_.complete_prefetch(id, std::move(grid))) {
+          local_.push_back(id);
+          return;
+        }
+        break;  // the read failed or was cancelled: read cold
       }
-      // The read was cancelled or failed while we waited; the hint is
-      // dead — do the demand read synchronously like any other miss.
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
+      case RankBlockPlane::Demand::kMiss:
+        break;
     }
-    pending_.insert(id);
     maybe_perturb();
     // Real synchronous read; completion is delivered through the local
     // event queue so the program still sees it asynchronously.
+    plane_.count_read(id);
     const auto t0 = std::chrono::steady_clock::now();
     GridPtr grid = runtime_->source_->load(id);
     const double waited = seconds_since(t0);
     metrics.io_time += waited;
     metrics.stall_time += waited;
-    metrics.bytes_read += runtime_->source_->block_bytes(id);
-    cache_.insert(id, std::move(grid));
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_block_insert(rank_, id, cache_.resident(),
-                                      seconds_since(epoch_)));
+    plane_.complete_load(id, std::move(grid));
     maybe_perturb();
-    pending_.erase(id);
     local_.push_back(id);
   }
 
   void prefetch_block(BlockId id) override {
-    AsyncBlockLoader* loader = runtime_->loader_.get();
-    if (loader == nullptr) return;  // async I/O off
-    if (cache_.contains(id) || pending_.count(id) != 0 ||
-        staged_.count(id) != 0 || prefetch_inflight_.count(id) != 0) {
-      return;
-    }
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    if (prefetch_inflight_.size() >=
-        static_cast<std::size_t>(std::max(1, aio.prefetch_depth))) {
-      return;  // depth-limited; dropping a hint is always legal
-    }
-    ++metrics.prefetches_issued;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_prefetch_issued(rank_, id, seconds_since(epoch_)));
-    prefetch_inflight_[id] = loader->request(id, /*demand=*/false);
+    if (!plane_.issue_prefetch(id)) return;
+    plane_.count_read(id);
+    prefetches_[id] = runtime_->loader_->request(id, /*demand=*/false);
     maybe_perturb();
   }
 
   int prefetch_capacity() const override {
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    return aio.enabled ? std::max(1, aio.prefetch_depth) : 0;
+    return plane_.prefetch_capacity();
   }
-
-  void pin_block(BlockId id) override {
-    cache_.pin(id);
-    SF_INVARIANT_HOOK(runtime_->checker_, on_block_pin(rank_, id));
-  }
-
-  void unpin_block(BlockId id) override {
-    cache_.unpin(id);  // may run the deferred eviction
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_block_unpin(rank_, id, cache_.resident(),
-                                     seconds_since(epoch_)));
-  }
-
+  void pin_block(BlockId id) override { plane_.pin(id); }
+  void unpin_block(BlockId id) override { plane_.unpin(id); }
   bool block_resident(BlockId id) const override {
-    return cache_.contains(id);
+    return plane_.resident(id);
   }
-  bool block_pending(BlockId id) const override {
-    return pending_.count(id) != 0;
-  }
+  bool block_pending(BlockId id) const override { return plane_.pending(id); }
   std::vector<BlockId> resident_blocks() const override {
-    return cache_.resident();
+    return plane_.resident_blocks();
   }
-  const StructuredGrid* block(BlockId id) override {
-    const StructuredGrid* grid = cache_.find(id);
-    if (grid != nullptr) {
-      // find() moved the block to the front of the LRU; mirror it.
-      SF_INVARIANT_HOOK(runtime_->checker_, on_block_touch(rank_, id));
-    }
-    return grid;
-  }
+  const StructuredGrid* block(BlockId id) override { return plane_.block(id); }
 
   bool log_termination(const Particle& p) override {
     // No fault plane on the thread runtime yet: always a first-time credit.
     SF_INVARIANT_HOOK(
         runtime_->checker_,
         on_terminated(rank_, p, /*first_time=*/true, seconds_since(epoch_)));
-    runtime_->note_query_termination(p, seconds_since(epoch_));
+    runtime_->board_.note_termination(p, seconds_since(epoch_));
     return true;
   }
 
@@ -232,17 +172,7 @@ class ThreadRuntime::Context final : public RankContext {
   bool busy() const override { return false; }
 
   void charge_particle_memory(std::int64_t delta_bytes) override {
-    particle_bytes_ += delta_bytes;
-    if (particle_bytes_ < 0) particle_bytes_ = 0;
-    metrics.peak_particle_bytes =
-        std::max(metrics.peak_particle_bytes,
-                 static_cast<std::size_t>(particle_bytes_));
-    if (static_cast<std::size_t>(particle_bytes_) >
-        runtime_->config_.model.particle_memory_bytes) {
-      metrics.oom = true;
-      abort_->store(true);
-      throw ThreadAbort{};
-    }
+    plane_.charge_particle_memory(delta_bytes);
   }
 
   // --- thread driver -------------------------------------------------------
@@ -275,51 +205,31 @@ class ThreadRuntime::Context final : public RankContext {
           have = pop_mailbox(msg);
         }
         if (!have) continue;
-        maybe_perturb();
-        // Receiver-side accounting happens on the owning thread (the
-        // sender must not touch this rank's metrics).
-        metrics.bytes_received +=
-            message_bytes(msg, runtime_->config_.carry_geometry);
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_deliver(rank_, msg, seconds_since(epoch_)));
-        program->on_message(*this, std::move(msg));
+        dispatch(std::move(msg));
         drain_local();
       }
       // Every issued prefetch must be resolved before the run ends:
       // discard staged grids nobody claimed and cancel what is still in
       // flight (best effort — a read a worker already started just
       // completes into the void).
-      resolve_outstanding_prefetches();
-    } catch (const ThreadAbort&) {
-      // OOM: abort_ is set; all threads wind down.
+      for (const auto& inflight : prefetches_) {
+        runtime_->loader_->cancel(inflight.first);
+      }
+      prefetches_.clear();
+      plane_.resolve_outstanding_prefetches();
+    } catch (const SimAbort&) {
+      abort_->store(true);  // OOM: all threads wind down
     } catch (...) {
       // Anything else (an InvariantViolation, a program bug) must reach
       // the caller, not std::terminate: park it and stop every thread.
       runtime_->note_failure(std::current_exception());
     }
-    metrics.blocks_loaded = cache_.loads();
-    metrics.blocks_purged = cache_.purges();
-    metrics.cache_hits = cache_.hits();
-    metrics.cache_misses = cache_.misses();
-    metrics.blocks_adopted = cache_.adopted();
+    plane_.sync_counters();
   }
 
-  const BlockCache& cache() const { return cache_; }
-
-  // Warm start from a previous run's captured residency (cross-query
-  // sharing).  Runs on the main thread before the rank threads launch,
-  // so no locking; `blocks` is MRU first, adopted LRU-last -> MRU-first
-  // to rebuild the same recency order under the checker's LRU model.
-  void adopt_shared(const std::vector<std::pair<BlockId, GridPtr>>& blocks) {
-    const std::size_t n = std::min(blocks.size(), cache_.capacity());
-    for (std::size_t i = n; i-- > 0;) {
-      cache_.adopt(blocks[i].first, blocks[i].second);
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_block_insert(rank_, blocks[i].first,
-                                        cache_.resident(), 0.0));
-    }
-    metrics.blocks_adopted = cache_.adopted();
-  }
+  // Touched by the main thread only before the rank threads launch
+  // (adoption) and after they join (capture).
+  RankBlockPlane& plane() { return plane_; }
 
   std::unique_ptr<RankProgram> program;
   RankMetrics metrics;
@@ -328,87 +238,42 @@ class ThreadRuntime::Context final : public RankContext {
   struct ComputeDone {};
   using LocalEvent = std::variant<BlockId, ComputeDone>;
 
-  // Promote a staged prefetched grid into the cache (the demand claim).
-  bool claim_staged(BlockId id) {
-    auto it = staged_.find(id);
-    if (it == staged_.end()) return false;
-    ++metrics.prefetch_hits;
-    GridPtr grid = std::move(it->second);
-    staged_.erase(it);
-    staged_order_.erase(
-        std::remove(staged_order_.begin(), staged_order_.end(), id),
-        staged_order_.end());
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_prefetch_claimed(rank_, id, seconds_since(epoch_)));
-    cache_.insert(id, std::move(grid));
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_block_insert(rank_, id, cache_.resident(),
-                                      seconds_since(epoch_)));
-    return true;
+  // Waits for the prefetch read of `id`; null if it failed or was
+  // cancelled.
+  GridPtr take_prefetch(BlockId id) {
+    auto it = prefetches_.find(id);
+    GridPtr grid;
+    try {
+      grid = it->second.get();
+    } catch (...) {
+      grid = nullptr;  // exhausted retries
+    }
+    prefetches_.erase(it);
+    return grid;
   }
 
-  // Move finished background reads into the staging area.  Futures are
-  // polled from the rank thread only, so the cache, the staging store
-  // and the checker hooks never race.
+  // Hand finished background reads to the plane.  Futures are polled
+  // from the rank thread only, so the cache, the staging area and the
+  // checker hooks never race.
   void poll_arrivals() {
-    for (auto it = prefetch_inflight_.begin();
-         it != prefetch_inflight_.end();) {
-      if (it->second.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        ++it;
-        continue;
-      }
+    for (auto it = prefetches_.begin(); it != prefetches_.end();) {
       const BlockId id = it->first;
-      GridPtr grid;
-      try {
-        grid = it->second.get();
-      } catch (...) {
-        grid = nullptr;  // exhausted retries: abandon the hint
-      }
-      it = prefetch_inflight_.erase(it);
-      if (grid == nullptr || cache_.contains(id)) {
-        ++metrics.prefetches_wasted;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
-        continue;
-      }
-      staged_[id] = std::move(grid);
-      staged_order_.push_back(id);
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_staged(rank_, id, seconds_since(epoch_)));
-      const std::size_t cap = std::max<std::size_t>(
-          1, runtime_->config_.async_io.staging_blocks);
-      while (staged_.size() > cap) {
-        const BlockId oldest = staged_order_.front();
-        staged_order_.erase(staged_order_.begin());
-        staged_.erase(oldest);
-        ++metrics.prefetches_wasted;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_cancelled(rank_, oldest, seconds_since(epoch_)));
-      }
+      const bool ready = it->second.wait_for(std::chrono::seconds(0)) ==
+                         std::future_status::ready;
+      ++it;  // take_prefetch erases the entry
+      if (ready) plane_.complete_prefetch(id, take_prefetch(id));
     }
   }
 
-  void resolve_outstanding_prefetches() {
-    for (const BlockId id : staged_order_) {
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
-    }
-    staged_.clear();
-    staged_order_.clear();
-    for (const auto& [id, fut] : prefetch_inflight_) {
-      runtime_->loader_->cancel(id);
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
-    }
-    prefetch_inflight_.clear();
+  void dispatch(Message msg) {
+    maybe_perturb();
+    // Receiver-side accounting happens on the owning thread (the sender
+    // must not touch this rank's metrics).
+    metrics.bytes_received +=
+        message_bytes(msg, runtime_->config_.carry_geometry);
+    SF_INVARIANT_HOOK(runtime_->checker_,
+                      on_deliver(rank_, msg, seconds_since(epoch_)));
+    program->on_message(*this, std::move(msg));
   }
 
   void drain_local() {
@@ -416,14 +281,7 @@ class ThreadRuntime::Context final : public RankContext {
     while (!local_.empty() && !abort_->load()) {
       // Drain the mailbox between local events so commands interleave
       // with compute, like they do under the simulator.
-      for (;;) {
-        Message msg;
-        if (!pop_mailbox(msg)) break;
-        maybe_perturb();
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_deliver(rank_, msg, seconds_since(epoch_)));
-        program->on_message(*this, std::move(msg));
-      }
+      for (Message msg; pop_mailbox(msg);) dispatch(std::move(msg));
       if (local_.empty()) break;
       LocalEvent ev = local_.front();
       local_.pop_front();
@@ -476,17 +334,13 @@ class ThreadRuntime::Context final : public RankContext {
   int rank_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool>* abort_;
-  BlockCache cache_;
+  RankBlockPlane plane_;
   bool fuzz_enabled_;
   Rng fuzz_;
-  std::set<BlockId> pending_;
-  // Async-I/O state, touched only from this rank's thread (all empty
-  // when async I/O is off).
-  std::map<BlockId, std::shared_future<GridPtr>> prefetch_inflight_;
-  std::map<BlockId, GridPtr> staged_;   // arrived, not yet claimed
-  std::vector<BlockId> staged_order_;   // oldest first (bounded)
+  // The loader future of each in-flight prefetch (empty when async I/O
+  // is off), touched only from this rank's thread.
+  std::map<BlockId, std::shared_future<GridPtr>> prefetches_;
   std::deque<LocalEvent> local_;
-  std::int64_t particle_bytes_ = 0;
 
   // Lock-free mailbox (DESIGN.md §14): one SPSC lane per sender, an
   // eventcount to sleep on, and a round-robin drain cursor (owned by
@@ -524,26 +378,6 @@ void ThreadRuntime::note_failure(std::exception_ptr error) {
   abort_flag_->store(true);
 }
 
-void ThreadRuntime::note_query_termination(const Particle& p, double now) {
-  std::uint32_t fire_query = 0;
-  std::uint32_t fire_particles = 0;
-  bool fire = false;
-  {
-    MutexLock lock(query_mutex_);
-    auto it = query_remaining_.find(p.query);
-    if (it == query_remaining_.end() || it->second == 0) return;
-    if (--it->second == 0) {
-      fire = true;
-      fire_query = p.query;
-      fire_particles = query_total_[p.query];
-      completions_.push_back(QueryCompletion{p.query, now, fire_particles});
-    }
-  }
-  if (fire) {
-    SF_INVARIANT_HOOK(checker_, on_query_done(fire_query, now));
-  }
-}
-
 RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
   const auto epoch = std::chrono::steady_clock::now();
   std::atomic<bool> abort{false};
@@ -564,54 +398,20 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
     contexts_.back()->program = factory(r, config_.num_ranks);
   }
 
-  checker_ = make_invariant_checker(
-      {.protocol = config_.checked_protocol,
-       .num_ranks = config_.num_ranks,
-       .num_masters = config_.checker_num_masters,
-       .num_roots = config_.checker_num_roots,
-       .num_blocks = decomp_->num_blocks(),
-       .cache_blocks = config_.cache_blocks,
-       .fault_mode = false,
-       .track_queries = true});
-  if (checker_) {
-    std::vector<Particle> snap;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      checker_->on_seeded(r, snap);
-    }
+  std::vector<RunBoard::Rank> ranks;
+  for (auto& ctx : contexts_) {
+    ranks.push_back({ctx->program.get(), &ctx->plane()});
   }
-
-  // Cross-query warm start, on the main thread before any rank runs.
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      contexts_[static_cast<std::size_t>(r)]->adopt_shared(
-          config_.shared_blocks->blocks(r));
-    }
-  }
-
-  // Per-query completion accounting from the seeding snapshots (deduped
-  // by particle id), plus the epoch-boundary cancellation set.
-  {
-    MutexLock lock(query_mutex_);
-    query_remaining_.clear();
-    query_total_.clear();
-    completions_.clear();
-    std::vector<Particle> snap;
-    std::set<std::uint32_t> seen;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      for (const Particle& p : snap) {
-        if (is_terminal(p.status)) continue;
-        if (!seen.insert(p.id).second) continue;
-        ++query_remaining_[p.query];
-      }
-    }
-    query_total_ = query_remaining_;
-  }
+  board_.begin({.protocol = config_.checked_protocol,
+                 .num_ranks = config_.num_ranks,
+                 .num_masters = config_.checker_num_masters,
+                 .num_roots = config_.checker_num_roots,
+                 .num_blocks = decomp_->num_blocks(),
+                 .cache_blocks = config_.cache_blocks,
+                 .fault_mode = false,
+                 .track_queries = true},
+                ranks, /*presettled=*/{}, config_.shared_blocks,
+                checker_);
   cancel_set_.clear();
   for (std::uint32_t q : config_.cancelled_queries) cancel_set_.cancel(q);
   tracer_.set_cancel_set(&cancel_set_);
@@ -649,25 +449,8 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
       ctx->program->collect_particles(run_metrics.particles);
     }
   }
-  // Capture cross-query residency for the next epoch (threads joined, so
-  // the caches are quiescent).
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      config_.shared_blocks->capture(
-          r, contexts_[static_cast<std::size_t>(r)]->cache());
-    }
-  }
-  std::sort(run_metrics.particles.begin(), run_metrics.particles.end(),
-            [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  {
-    MutexLock lock(query_mutex_);
-    std::sort(completions_.begin(), completions_.end(),
-              [](const QueryCompletion& a, const QueryCompletion& b) {
-                return a.query < b.query;
-              });
-    run_metrics.query_completions = std::move(completions_);
-    completions_.clear();
-  }
+  // Threads joined, so the caches are quiescent for the capture.
+  board_.finish(run_metrics, config_.shared_blocks, ranks);
   contexts_.clear();
   return run_metrics;
 }

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "runtime/block_cache.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rank_context.hpp"
+#include "runtime/run_board.hpp"
 
 namespace sf {
 
@@ -80,11 +80,6 @@ class ThreadRuntime {
 
   // First exception a rank thread died on; rethrown from run().
   void note_failure(std::exception_ptr error) SF_EXCLUDES(failure_mutex_);
-  // Per-query completion tracking; called from rank threads on every
-  // termination, serialized by query_mutex_.  The checker hook fires
-  // after the lock is released (checker last in the lock order).
-  void note_query_termination(const Particle& p, double now)
-      SF_EXCLUDES(query_mutex_);
 
   ThreadRuntimeConfig config_;
   const BlockDecomposition* decomp_;
@@ -95,12 +90,7 @@ class ThreadRuntime {
   QueryCancelSet cancel_set_;
   // Per-query termination board: decremented by every rank thread, so
   // the last terminator of a query fires its completion exactly once.
-  Mutex query_mutex_{LockRank::kQueryBoard};
-  std::map<std::uint32_t, std::uint32_t> query_remaining_
-      SF_GUARDED_BY(query_mutex_);
-  std::map<std::uint32_t, std::uint32_t> query_total_
-      SF_GUARDED_BY(query_mutex_);
-  std::vector<QueryCompletion> completions_ SF_GUARDED_BY(query_mutex_);
+  RunBoard board_;
   std::vector<std::unique_ptr<Context>> contexts_;
   // Live only inside run(), and only when config_.async_io.enabled.
   std::unique_ptr<AsyncBlockLoader> loader_;

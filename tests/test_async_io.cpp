@@ -296,6 +296,8 @@ TEST(AsyncBlockLoader, CompletionMayReenterRequestAndCancel) {
 // Simulated runtime: async must be invisible in the results
 // ---------------------------------------------------------------------------
 
+enum class Runtime { kSim, kThreads };
+
 struct SimWorld {
   sf::testing::TestWorld w = sf::testing::rotor_world(4);  // 64 blocks
   std::vector<Vec3> seeds;
@@ -314,8 +316,11 @@ struct SimWorld {
     return cfg;
   }
 
-  RunMetrics run(const ExperimentConfig& cfg) const {
-    return run_experiment(cfg, w.decomp(), *w.source, seeds);
+  RunMetrics run(const ExperimentConfig& cfg,
+                 Runtime runtime = Runtime::kSim) const {
+    return runtime == Runtime::kSim
+               ? run_experiment(cfg, w.decomp(), *w.source, seeds)
+               : run_experiment_threads(cfg, w.decomp(), *w.source, seeds);
   }
 };
 
@@ -377,22 +382,73 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AsyncSimEquivalence,
                                            Algorithm::kHybridMasterSlave),
                          algo_test_name);
 
+// The block plane's I/O ledger, on both runtimes.
+class AsyncIoLedger : public ::testing::TestWithParam<Runtime> {};
+
 // Load On Demand's demand sequence is timing-independent (each rank's
 // next block depends only on its pool), so async must also preserve the
 // load/purge ledger exactly — a prefetch hit counts as the same one
-// load the demand would have issued.
-TEST(AsyncSimIo, PrefetchHitsCountAsLoadsExactlyOnce) {
+// load the demand would have issued.  On real threads that holds under
+// any interleaving, so the async run repeats under schedule fuzz.
+TEST_P(AsyncIoLedger, PrefetchHitsCountAsLoadsExactlyOnce) {
+  const bool threads = GetParam() == Runtime::kThreads;
   const SimWorld sw;
-  const RunMetrics sync = sw.run(sw.config(Algorithm::kLoadOnDemand, false));
-  const RunMetrics async = sw.run(sw.config(Algorithm::kLoadOnDemand, true));
+  const RunMetrics sync =
+      sw.run(sw.config(Algorithm::kLoadOnDemand, false), GetParam());
+  for (const std::uint64_t fuzz :
+       threads ? std::vector<std::uint64_t>{0, 7, 99}
+               : std::vector<std::uint64_t>{0}) {
+    auto cfg = sw.config(Algorithm::kLoadOnDemand, true);
+    cfg.schedule_fuzz_seed = fuzz;
+    const RunMetrics async = sw.run(cfg, GetParam());
 
-  EXPECT_EQ(async.total_blocks_loaded(), sync.total_blocks_loaded());
-  EXPECT_EQ(async.total_blocks_purged(), sync.total_blocks_purged());
-  EXPECT_EQ(async.block_efficiency(), sync.block_efficiency());
-  EXPECT_GT(async.total_prefetch_hits(), 0u);
-  // Overlap can only remove stall, never add it.
-  EXPECT_LE(async.total_stall_time(), sync.total_stall_time());
+    EXPECT_EQ(async.total_blocks_loaded(), sync.total_blocks_loaded())
+        << "fuzz " << fuzz;
+    EXPECT_EQ(async.total_blocks_purged(), sync.total_blocks_purged())
+        << "fuzz " << fuzz;
+    EXPECT_EQ(async.block_efficiency(), sync.block_efficiency());
+    EXPECT_GT(async.total_prefetch_hits(), 0u);
+    // Overlap can only remove stall, never add it (modelled time only:
+    // measured stalls on real threads are noise at this scale).
+    if (!threads) {
+      EXPECT_LE(async.total_stall_time(), sync.total_stall_time());
+    }
+  }
 }
+
+// Every read the plane issues — a demand miss or a prefetch — counts its
+// bytes once, when issued.  Without faults or a shared pool, the demand
+// reads are the loads no prefetch served, so bytes_read is
+// (loads - prefetch hits + prefetches issued) x block size, sync and
+// async, for every algorithm.
+TEST_P(AsyncIoLedger, BytesReadCountsEveryIssuedReadOnce) {
+  const SimWorld sw;
+  const std::uint64_t block_bytes = sw.w.source->block_bytes(0);
+  for (int b = 1; b < sw.w.source->num_blocks(); ++b) {
+    ASSERT_EQ(sw.w.source->block_bytes(b), block_bytes);
+  }
+  for (const Algorithm algo :
+       {Algorithm::kStaticAllocation, Algorithm::kLoadOnDemand,
+        Algorithm::kHybridMasterSlave}) {
+    for (const bool async : {false, true}) {
+      const RunMetrics m = sw.run(sw.config(algo, async), GetParam());
+      ASSERT_FALSE(m.failed_oom);
+      EXPECT_GT(m.total_bytes_read(), 0u);
+      EXPECT_EQ(m.total_bytes_read(),
+                (m.total_blocks_loaded() - m.total_prefetch_hits() +
+                 m.total_prefetches_issued()) *
+                    block_bytes)
+          << to_string(algo) << (async ? " async" : " sync");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothRuntimes, AsyncIoLedger,
+    ::testing::Values(Runtime::kSim, Runtime::kThreads),
+    [](const ::testing::TestParamInfo<Runtime>& p) {
+      return p.param == Runtime::kSim ? "Sim" : "Threads";
+    });
 
 TEST(AsyncSimIo, RepeatAsyncRunsAreDeterministic) {
   const SimWorld sw;
