@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "core/rng.hpp"
 
@@ -82,11 +83,32 @@ std::pair<int, int> HybridLayout::leaves_of(int root_rank) const {
 
 namespace {
 
-std::size_t particles_resident_bytes(const std::vector<Particle>& ps,
-                                     const MachineModel& model) {
-  std::size_t n = 0;
-  for (const Particle& p : ps) n += resident_particle_bytes(p, model);
-  return n;
+// Straggler detection (gray failures, DESIGN.md §16): progress windows
+// span kStragglerMinBeats heartbeat periods, and a working slave whose
+// effective speed falls below kStragglerSlowness x the healthy-group
+// median is flagged.
+constexpr double kStragglerSlowness = 0.25;
+constexpr int kStragglerMinBeats = 3;
+// Seeds the Send_hint tie-break among equally busy slaves; each
+// coordinator offsets it by its own rank.
+constexpr std::uint64_t kHintRngSeed = 0x1dd51c3ULL;
+
+// A Command without particles or hint blocks.
+Command command(Command::Type type, BlockId block = kInvalidBlock,
+                int target = -1) {
+  Command cmd;
+  cmd.type = type;
+  cmd.block = block;
+  cmd.target = target;
+  return cmd;
+}
+
+// Wrap one payload in a Message and send it.
+template <typename Payload>
+void post(RankContext& ctx, int to, Payload payload) {
+  Message m;
+  m.payload = std::move(payload);
+  ctx.send(to, std::move(m));
 }
 
 // The failover successor: the lowest live original master, or — when every
@@ -104,16 +126,38 @@ int successor_rank(const RankContext& ctx, const HybridLayout& layout) {
   return 0;
 }
 
+// The unique live rank responsible for absorbing a dead coordinator — and
+// hence where its orphaned slaves re-home: its parent root when the tree
+// is on and the parent survives, else the global successor (which may be
+// the orphan itself, promoting).  Uniqueness keeps ledger recovery
+// single-fire on the primary path (duplicate adoption stays safe —
+// recovered credits max-merge and re-run terminations dedup — but never
+// happens fault-free under this rule).
+int adopter_of(const RankContext& ctx, const HybridLayout& layout, int dead) {
+  if (layout.num_roots > 0 && dead >= layout.num_roots &&
+      dead < layout.num_masters) {
+    const int parent = layout.root_of(dead);
+    if (ctx.is_alive(parent)) return parent;
+  }
+  return successor_rank(ctx, layout);
+}
+
+// How long a peer may stay silent before it is presumed dead: a master's
+// deadline for its slaves (the sixth rule) and a slave's for its master.
+double deadline(const HybridParams& params) {
+  return static_cast<double>(params.heartbeat_miss_limit) *
+         params.heartbeat_period;
+}
+
 // ---------------------------------------------------------------------------
 // Master scheduling core
 // ---------------------------------------------------------------------------
 
 // The whole master-side state machine — the five balancing rules, the
 // sixth (declare-dead) rule, master-to-master seed balancing, and the
-// survivable termination board — extracted from the master *program* so a
-// slave promoted by failover runs the identical logic.  Hosted by
-// HybridMaster from the start of a run, or by HybridSlave from the moment
-// it promotes itself (DESIGN.md §11).
+// survivable termination board.  HybridRank engages it at start on layout
+// master ranks, and on a slave from the moment it promotes itself
+// (DESIGN.md §11), so both run the identical logic.
 class MasterCore {
  public:
   MasterCore(const BlockDecomposition* decomp, int self, HybridLayout layout,
@@ -123,25 +167,21 @@ class MasterCore {
         layout_(layout),
         params_(params),
         total_active_(total_active),
-        rng_(params.rng_seed + static_cast<std::uint64_t>(self)) {}
+        rng_(kHintRngSeed + static_cast<std::uint64_t>(self)) {}
 
   bool finished() const { return finished_; }
 
-  // No live slave registered: a promoted host must integrate the seed
-  // pool itself or the run would stall.
-  bool solo() const { return records_.empty(); }
+  // A promoted slave with no live slave registered must integrate the
+  // seed pool itself or the run would stall.  Never a layout master: a
+  // root's records are always empty, and it must not start advecting.
+  bool solo() const {
+    return self_ >= layout_.num_masters && records_.empty();
+  }
 
   void start_as_master(RankContext& ctx, std::vector<Particle> seeds) {
     const auto [first, last] = layout_.slaves_of(self_);
     for (int s = first; s < last; ++s) records_[s] = SlaveRecord{};
-
-    for (Particle& p : seeds) {
-      // Pooled seeds are bare seed points, not active streamline
-      // objects: charge them at solver-state size.
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    for (Particle& p : seeds) pool_seed(ctx, std::move(p));
 
     if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
       finish_everyone(ctx);
@@ -179,7 +219,7 @@ class MasterCore {
     // Detection is purely silence-based — no liveness oracle.
     std::vector<int> missing;
     for (const auto& [slave, heard_at] : last_heard_) {
-      if (ctx.now() - heard_at > deadline()) missing.push_back(slave);
+      if (ctx.now() - heard_at > deadline(params_)) missing.push_back(slave);
     }
     for (const int slave : missing) {
       declare_dead(ctx, slave);
@@ -207,7 +247,7 @@ class MasterCore {
     if (successor_rank(ctx, layout_) == self_) {
       for (int m = 0; m < layout_.num_masters; ++m) {
         if (m == self_ || ctx.is_alive(m)) continue;
-        if (adopter_of(ctx, m) != self_) continue;
+        if (adopter_of(ctx, layout_, m) != self_) continue;
         adopt_coordinator(ctx, m);
         if (finished_) return;
       }
@@ -227,10 +267,7 @@ class MasterCore {
     // Liveness beacons: slaves track the last time they heard us; silence
     // past their miss limit is what triggers their re-homing.
     for (const auto& [slave, rec] : records_) {
-      if (!ctx.is_alive(slave)) continue;
-      Message m;
-      m.payload = MasterBeacon{};
-      ctx.send(slave, std::move(m));
+      if (ctx.is_alive(slave)) post(ctx, slave, MasterBeacon{});
     }
     publish_totals(ctx);  // re-report the board if the counter moved
     if (finished_) return;
@@ -242,9 +279,7 @@ class MasterCore {
       if (params_.failover) {
         // A re-home that arrived after the run ended: answer with the
         // terminate the orphan missed so it can quiesce.
-        Command cmd;
-        cmd.type = Command::Type::kTerminate;
-        send_command(ctx, from, std::move(cmd));
+        post(ctx, from, command(Command::Type::kTerminate));
       }
       return;
     }
@@ -269,6 +304,9 @@ class MasterCore {
     assignment_pass(ctx);
   }
 
+  // A peer's board, or a promoted host's own advection credits, which
+  // flow straight into the board instead of through a StatusUpdate to
+  // itself.
   void on_termination_count(
       RankContext& ctx,
       const std::vector<std::pair<int, std::uint32_t>>& totals) {
@@ -277,41 +315,24 @@ class MasterCore {
     publish_totals(ctx);
   }
 
-  // The promoted host's own advection credits flow straight into the
-  // board instead of through a StatusUpdate to itself.
-  void note_local_terminations(RankContext& ctx, int rank,
-                               std::uint32_t total) {
-    if (finished_) return;
-    merge_total(rank, total);
-    publish_totals(ctx);
-  }
-
-  void on_seed_request(RankContext& ctx, int requester) {
+  // A seed demand: a starving master's SeedRequest (`may_escalate` set),
+  // or a broker root's SeedRelay, which donates back to the broker for
+  // forwarding to whichever starving master it serves.  In tree mode a
+  // root brokers demand it cannot satisfy from its own pool instead of
+  // answering dry — the requester's one candidate is its root, so a dry
+  // answer would quench balancing for the whole subtree while leaf pools
+  // still hold seeds.  A relayed demand is brokered within the subtree
+  // but never escalated again: the one-escalation rule bounds the chain.
+  void on_seed_request(RankContext& ctx, int requester, bool may_escalate) {
     if (finished_) return;
     if (layout_.num_roots > 0 && layout_.is_root(self_)) {
-      // Tree mode: a root brokers demand it cannot satisfy from its own
-      // pool instead of answering dry — the requester's one candidate is
-      // its root, so a dry answer here would quench balancing for the
-      // whole subtree while leaf pools still hold seeds.
-      pending_requests_.push_back({requester, /*may_escalate=*/true});
+      pending_requests_.push_back({requester, may_escalate});
       broker(ctx);
       return;
     }
-    answer_seed_request(ctx, requester);
-  }
-
-  // A relayed demand from a broker root: donate back to the broker, which
-  // forwards the seeds to whichever starving master it is serving.  A
-  // root receiving a relay brokers it within its own subtree but must not
-  // escalate again — the one-escalation rule is what bounds the chain.
-  void on_seed_relay(RankContext& ctx, int broker_rank) {
-    if (finished_) return;
-    if (layout_.num_roots > 0 && layout_.is_root(self_)) {
-      pending_requests_.push_back({broker_rank, /*may_escalate=*/false});
-      broker(ctx);
-      return;
-    }
-    answer_seed_request(ctx, broker_rank);
+    // Always answer — an empty transfer is the "I am dry" signal the
+    // requester's dry_masters_ set quenches on.
+    post(ctx, requester, collect_donation(ctx));
   }
 
   void on_seed_transfer(RankContext& ctx, int from, SeedTransfer transfer) {
@@ -320,15 +341,8 @@ class MasterCore {
     // its own request and a relayed donation in flight at once.
     if (from == seed_request_target_) seed_request_outstanding_ = false;
     if (from == relay_target_) relay_outstanding_ = false;
-    if (transfer.seeds.empty()) {
-      dry_masters_.insert(from);
-    } else {
-      for (Particle& p : transfer.seeds) {
-        ctx.charge_particle_memory(
-            static_cast<std::int64_t>(particle_message_bytes(p, false)));
-        seeds_.add(decomp_->block_of(p.pos), std::move(p));
-      }
-    }
+    if (transfer.seeds.empty()) dry_masters_.insert(from);
+    for (Particle& p : transfer.seeds) pool_seed(ctx, std::move(p));
     if (!pending_requests_.empty()) {
       broker(ctx);
       if (finished_) return;
@@ -338,7 +352,7 @@ class MasterCore {
 
   void on_done_signal(RankContext& ctx) {
     if (finished_) return;
-    terminate_group(ctx);
+    terminate_slaves(ctx, /*everyone=*/false);
   }
 
   // A particle-bearing message we sent bounced (dropped link or dead
@@ -352,11 +366,7 @@ class MasterCore {
       // link dropped it, so just retry the transfer (the requester is
       // still waiting on its outstanding request).  A dead peer's seeds
       // fall through to the generic reclaim below instead.
-      SeedTransfer transfer;
-      transfer.seeds = std::move(u.particles);
-      Message m;
-      m.payload = std::move(transfer);
-      ctx.send(u.target, std::move(m));
+      post(ctx, u.target, SeedTransfer{std::move(u.particles)});
       return;
     }
 
@@ -377,31 +387,17 @@ class MasterCore {
       }
       it->second.outstanding = false;
     }
-    for (Particle& p : u.particles) {
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    for (Particle& p : u.particles) pool_seed(ctx, std::move(p));
     assignment_pass(ctx);
   }
 
-  // Hand the whole seed pool to a solo host for direct integration.
+  // Hand the whole seed pool, densest block first, to a solo host for
+  // direct integration.
   std::vector<Particle> drain_seeds(RankContext& ctx) {
     std::vector<Particle> out;
-    while (!seeds_.empty()) {
-      const BlockId b = seeds_.densest_block();
-      if (b == kInvalidBlock) break;
-      std::vector<Particle> batch = seeds_.drain_block(b);
-      ctx.charge_particle_memory(-static_cast<std::int64_t>(
-          [&] {
-            std::size_t n = 0;
-            for (const Particle& p : batch) {
-              n += particle_message_bytes(p, false);
-            }
-            return n;
-          }()));
-      out.insert(out.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()));
+    for (BlockId b = seeds_.densest_block(); b != kInvalidBlock;
+         b = seeds_.densest_block()) {
+      while (auto p = take_seed(ctx, b)) out.push_back(std::move(*p));
     }
     return out;
   }
@@ -411,29 +407,32 @@ class MasterCore {
   }
 
  private:
-  struct BlockSet {
-    std::set<BlockId> s;
-    void assign_from(const std::vector<BlockId>& v) {
-      s.clear();
-      s.insert(v.begin(), v.end());
-    }
-    bool contains(BlockId b) const { return s.count(b) != 0; }
-    void insert(BlockId b) { s.insert(b); }
-  };
-
   struct SlaveRecord {
     std::map<BlockId, std::uint32_t> queued;  // waiting, by current block
-    BlockSet loaded;
-    BlockSet loading;
+    std::set<BlockId> loaded;
+    std::set<BlockId> loading;
     std::uint32_t workable = 0;
     bool outstanding = false;  // assigned work since its last status
     bool needs_work = false;
     bool hint_requested = false;  // a Send_hint on its behalf is pending
   };
 
-  double deadline() const {
-    return static_cast<double>(params_.heartbeat_miss_limit) *
-           params_.heartbeat_period;
+  // The one way seeds enter and leave the pool.  Pooled seeds are bare
+  // seed points, not active streamline objects: each is charged at
+  // solver-state size on the way in and refunded the same on the way out.
+  void pool_seed(RankContext& ctx, Particle p) {
+    ctx.charge_particle_memory(
+        static_cast<std::int64_t>(particle_message_bytes(p, false)));
+    seeds_.add(decomp_->block_of(p.pos), std::move(p));
+  }
+
+  std::optional<Particle> take_seed(RankContext& ctx, BlockId b) {
+    std::optional<Particle> p = seeds_.take_from(b);
+    if (p) {
+      ctx.charge_particle_memory(
+          -static_cast<std::int64_t>(particle_message_bytes(*p, false)));
+    }
+    return p;
   }
 
   // --- straggler detection (gray failures, DESIGN.md §16) ------------------
@@ -460,8 +459,7 @@ class MasterCore {
   // all-or-nothing noise (a burst credits its steps at acceptance), while
   // a multi-beat window averages over the burst cadence.
   double progress_window() const {
-    return static_cast<double>(params_.straggler_min_beats) *
-           params_.heartbeat_period;
+    return static_cast<double>(kStragglerMinBeats) * params_.heartbeat_period;
   }
 
   // Straggler detection (gray failures): every status carries the
@@ -554,23 +552,16 @@ class MasterCore {
       if (t.flagged || t.windows < 1) continue;
       if (t.last_busy < busy_floor) continue;
       if (!detection_candidate(slave, t)) continue;
-      if (t.rate >= params_.straggler_slowness * median) continue;
+      if (t.rate >= kStragglerSlowness * median) continue;
       t.flagged = true;
-      speculate_straggler(ctx, slave);
-    }
-  }
-
-  // Copy the straggler's in-progress streamlines out of the ledger into
-  // the seed pool, exactly like absorb_recovered — except the straggler
-  // stays alive and keeps its own copies, so its termination total is NOT
-  // merged here (it reports its own credits; first-terminal-wins dedups
-  // whichever copy loses the race).
-  void speculate_straggler(RankContext& ctx, int straggler) {
-    std::vector<Particle> copies = ctx.speculate_rank(straggler);
-    for (Particle& p : copies) {
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
+      // Copy the straggler's in-progress streamlines out of the ledger
+      // into the seed pool, like absorb_recovered — except the straggler
+      // stays alive and keeps its own copies, so its termination total is
+      // NOT merged here (it reports its own credits; first-terminal-wins
+      // dedups whichever copy loses the race).
+      for (Particle& p : ctx.speculate_rank(slave)) {
+        pool_seed(ctx, std::move(p));
+      }
     }
   }
 
@@ -601,18 +592,19 @@ class MasterCore {
 
   void apply_status(int slave, SlaveRecord& rec, const StatusUpdate& status) {
     for (const auto& [b, count] : rec.queued) index_unqueue(slave, b);
-    for (const BlockId b : rec.loaded.s) index_unhold(slave, b);
-    for (const BlockId b : rec.loading.s) index_unhold(slave, b);
+    for (const BlockId b : rec.loaded) index_unhold(slave, b);
+    for (const BlockId b : rec.loading) index_unhold(slave, b);
 
     rec.queued.clear();
     for (const auto& [block, count] : status.queued_by_block) {
       rec.queued[block] = count;
       index_queue(slave, block, count);
     }
-    rec.loaded.assign_from(status.loaded);
-    rec.loading.assign_from(status.loading);
-    for (const BlockId b : rec.loaded.s) index_hold(slave, b);
-    for (const BlockId b : rec.loading.s) index_hold(slave, b);
+    rec.loaded = std::set<BlockId>(status.loaded.begin(), status.loaded.end());
+    rec.loading =
+        std::set<BlockId>(status.loading.begin(), status.loading.end());
+    for (const BlockId b : rec.loaded) index_hold(slave, b);
+    for (const BlockId b : rec.loading) index_hold(slave, b);
     rec.workable = status.workable;
     rec.outstanding = false;
     rec.needs_work = (status.workable == 0);
@@ -643,8 +635,8 @@ class MasterCore {
     return n;
   }
 
-  bool has_block(const SlaveRecord& rec, BlockId b) const {
-    return rec.loaded.contains(b) || rec.loading.contains(b);
+  static bool has_block(const SlaveRecord& rec, BlockId b) {
+    return rec.loaded.count(b) != 0 || rec.loading.count(b) != 0;
   }
 
   std::uint32_t overload_limit() const {
@@ -652,25 +644,12 @@ class MasterCore {
                                       params_.assign_batch);
   }
 
-  // Take up to N seeds out of one block of the master pool.
-  std::vector<Particle> pick_seeds(RankContext& ctx, BlockId from) {
-    std::vector<Particle> out;
-    for (int i = 0; i < params_.assign_batch; ++i) {
-      auto p = seeds_.take_from(from);
-      if (!p) break;
-      out.push_back(std::move(*p));
-    }
-    ctx.charge_particle_memory(-static_cast<std::int64_t>(
-        particles_resident_bytes(out, ctx.model())));
-    return out;
-  }
-
   void assign_seeds(RankContext& ctx, int slave, SlaveRecord& rec) {
     // Prefer a block the slave already has loaded (Assign_loaded), else
     // the densest seed block (Assign_unloaded).
     BlockId from = kInvalidBlock;
     for (const auto& [block, count] : seeds_.census()) {
-      if (rec.loaded.contains(block)) {
+      if (rec.loaded.count(block) != 0) {
         from = block;
         break;
       }
@@ -678,27 +657,43 @@ class MasterCore {
     if (from == kInvalidBlock) from = seeds_.densest_block();
     if (from == kInvalidBlock) return;
 
-    std::vector<Particle> batch = pick_seeds(ctx, from);
+    // Take up to N seeds out of that block of the pool.
+    std::vector<Particle> batch;
+    while (batch.size() < static_cast<std::size_t>(params_.assign_batch)) {
+      auto p = take_seed(ctx, from);
+      if (!p) break;
+      batch.push_back(std::move(*p));
+    }
     rec.queued[from] += static_cast<std::uint32_t>(batch.size());
     index_queue(slave, from, static_cast<std::uint32_t>(batch.size()));
     // The slave auto-loads the blocks of assigned seeds (Assign_unloaded).
     if (!has_block(rec, from)) note_load_command(slave, rec, from);
     rec.outstanding = true;
     rec.needs_work = false;
-
-    Command cmd;
-    cmd.type = Command::Type::kAssign;
-    cmd.block = from;
+    Command cmd = command(Command::Type::kAssign, from);
     cmd.particles = std::move(batch);
-    Message m;
-    m.payload = std::move(cmd);
-    ctx.send(slave, std::move(m));
+    post(ctx, slave, std::move(cmd));
   }
 
-  void send_command(RankContext& ctx, int to, Command cmd) {
-    Message m;
-    m.payload = std::move(cmd);
-    ctx.send(to, std::move(m));
+  // The densest block holding more than `floor` of S's particles that S
+  // neither has loaded nor is loading; kInvalidBlock when there is none.
+  static BlockId densest_stuck(const SlaveRecord& rec, std::uint32_t floor) {
+    BlockId best = kInvalidBlock;
+    for (const auto& [b, count] : rec.queued) {
+      if (!has_block(rec, b) && count > floor) {
+        best = b;
+        floor = count;
+      }
+    }
+    return best;
+  }
+
+  // Order S to load `b` (the Load rule); false when `b` is no block.
+  bool order_load(RankContext& ctx, int slave, SlaveRecord& rec, BlockId b) {
+    if (b == kInvalidBlock) return false;
+    post(ctx, slave, command(Command::Type::kLoad, b));
+    note_load_command(slave, rec, b);
+    return true;
   }
 
   // The §4.3 rule sequence for one workless slave.  Returns true when S
@@ -709,8 +704,6 @@ class MasterCore {
   // another slave posts a status ... there is another opportunity").
   bool rules_for(RankContext& ctx, int slave, SlaveRecord& rec,
                  bool allow_expensive) {
-    bool assigned = false;
-
     // (1) Send_force away: S's particles in unloaded blocks go to group
     // slaves that have those blocks loaded/loading (if they stay under
     // NO).  A block still in flight counts: particles queue on the
@@ -724,51 +717,26 @@ class MasterCore {
         const auto hit = holders_.find(b);
         if (hit == holders_.end()) continue;
         const std::uint32_t count = rec.queued[b];
-        int target = -1;
         for (const int cand : hit->second) {
           if (cand == slave || straggler_flagged(cand)) continue;
-          if (workload(records_[cand]) + count <= overload_limit()) {
-            target = cand;
-            break;
-          }
-        }
-        if (target >= 0) {
-          Command cmd;
-          cmd.type = Command::Type::kSendForce;
-          cmd.block = b;
-          cmd.target = target;
-          send_command(ctx, slave, std::move(cmd));
-          move_queued(slave, rec, b, target);
+          if (workload(records_[cand]) + count > overload_limit()) continue;
+          post(ctx, slave, command(Command::Type::kSendForce, b, cand));
+          move_queued(slave, rec, b, cand);
+          break;
         }
       }
     }
 
     // (2) Load: S has more than NL particles stuck in one unloaded block.
-    {
-      BlockId best = kInvalidBlock;
-      std::uint32_t best_count =
-          static_cast<std::uint32_t>(params_.load_threshold);
-      for (const auto& [b, count] : rec.queued) {
-        if (!has_block(rec, b) && count > best_count) {
-          best = b;
-          best_count = count;
-        }
-      }
-      if (best != kInvalidBlock) {
-        Command cmd;
-        cmd.type = Command::Type::kLoad;
-        cmd.block = best;
-        send_command(ctx, slave, std::move(cmd));
-        note_load_command(slave, rec, best);
-        assigned = true;
-      }
-    }
+    bool assigned = order_load(
+        ctx, slave, rec,
+        densest_stuck(rec, static_cast<std::uint32_t>(params_.load_threshold)));
 
     // (3) The loads above changed the group's loaded sets: other slaves
     // may now Send_force their stuck particles to S.
     {
-      std::vector<BlockId> held(rec.loaded.s.begin(), rec.loaded.s.end());
-      held.insert(held.end(), rec.loading.s.begin(), rec.loading.s.end());
+      std::vector<BlockId> held(rec.loaded.begin(), rec.loaded.end());
+      held.insert(held.end(), rec.loading.begin(), rec.loading.end());
       for (const BlockId b : held) {
         const auto qit = queued_idx_.find(b);
         if (qit == queued_idx_.end()) continue;
@@ -780,11 +748,7 @@ class MasterCore {
           SlaveRecord& orec = records_[other];
           if (has_block(orec, b)) continue;  // they can run it themselves
           if (workload(rec) + count > overload_limit()) break;
-          Command cmd;
-          cmd.type = Command::Type::kSendForce;
-          cmd.block = b;
-          cmd.target = slave;
-          send_command(ctx, other, std::move(cmd));
+          post(ctx, other, command(Command::Type::kSendForce, b, slave));
           move_queued(other, orec, b, slave);
           assigned = true;
         }
@@ -800,20 +764,14 @@ class MasterCore {
     // (6) Still nothing: make S load the block holding its most
     // streamlines (or, failing that, the group's hottest block).
     if (!assigned) {
-      BlockId best = kInvalidBlock;
-      std::uint32_t best_count = 0;
-      for (const auto& [b, count] : rec.queued) {
-        if (!has_block(rec, b) && count > best_count) {
-          best = b;
-          best_count = count;
-        }
-      }
+      BlockId best = densest_stuck(rec, 0);
       if (best == kInvalidBlock && allow_expensive) {
         // Fall back to the group's hottest block — but only one held by
         // *no* group slave.  If somebody already holds it, migration
         // (rules 1/3/7) is strictly cheaper than a duplicate 12 MB read,
         // and without this guard every starved slave in a large group
         // re-loads the same hot block.
+        std::uint32_t best_count = 0;
         for (const auto& [b, waiters] : queued_idx_) {
           if (holders_.count(b) != 0) continue;
           std::uint32_t total = 0;
@@ -824,14 +782,7 @@ class MasterCore {
           }
         }
       }
-      if (best != kInvalidBlock) {
-        Command cmd;
-        cmd.type = Command::Type::kLoad;
-        cmd.block = best;
-        send_command(ctx, slave, std::move(cmd));
-        note_load_command(slave, rec, best);
-        assigned = true;
-      }
+      assigned = order_load(ctx, slave, rec, best);
     }
 
     // (7) Hint the busiest slave that S can take work off its hands.
@@ -853,16 +804,14 @@ class MasterCore {
       if (!busiest.empty() && most > 0) {
         const int target = busiest[static_cast<std::size_t>(
             rng_.next_below(busiest.size()))];
-        Command cmd;
-        cmd.type = Command::Type::kSendHint;
-        cmd.target = slave;
+        Command cmd = command(Command::Type::kSendHint, kInvalidBlock, slave);
         for (const auto& [b, count] : records_[target].queued) {
           if (count > 0 && !has_block(records_[target], b)) {
             cmd.hint_blocks.push_back(b);
           }
         }
         if (!cmd.hint_blocks.empty()) {
-          send_command(ctx, target, std::move(cmd));
+          post(ctx, target, std::move(cmd));
           rec.hint_requested = true;
         }
       }
@@ -898,9 +847,7 @@ class MasterCore {
       if (starving) {
         const int candidate = seed_donor_candidate(ctx);
         if (candidate >= 0) {
-          Message msg;
-          msg.payload = SeedRequest{};
-          ctx.send(candidate, std::move(msg));
+          post(ctx, candidate, SeedRequest{});
           seed_request_outstanding_ = true;
           seed_request_target_ = candidate;
         }
@@ -948,33 +895,19 @@ class MasterCore {
 
   // --- root-tier seed brokering (tree layouts) -----------------------------
 
-  // Donate up to 4N seeds, whole blocks at a time, if we can spare them.
+  // Donate up to 4N seeds, densest block first, if we can spare them.
   SeedTransfer collect_donation(RankContext& ctx) {
     SeedTransfer transfer;
     const std::size_t spare_floor =
         static_cast<std::size_t>(params_.assign_batch) * records_.size();
-    std::size_t donated = 0;
     const std::size_t donate_cap =
         static_cast<std::size_t>(4 * params_.assign_batch);
-    while (seeds_.size() > spare_floor && donated < donate_cap) {
-      const BlockId b = seeds_.densest_block();
-      if (b == kInvalidBlock) break;
-      auto p = seeds_.take_from(b);
+    while (seeds_.size() > spare_floor && transfer.seeds.size() < donate_cap) {
+      auto p = take_seed(ctx, seeds_.densest_block());
       if (!p) break;
-      ctx.charge_particle_memory(
-          -static_cast<std::int64_t>(particle_message_bytes(*p, false)));
       transfer.seeds.push_back(std::move(*p));
-      ++donated;
     }
     return transfer;
-  }
-
-  // Always answers with a SeedTransfer — an empty one is the "I am dry"
-  // signal the requester's dry_masters_ set quenches on.
-  void answer_seed_request(RankContext& ctx, int requester) {
-    Message m;
-    m.payload = collect_donation(ctx);
-    ctx.send(requester, std::move(m));
   }
 
   // Serve queued demands from this root's own pool; when dry, relay one
@@ -992,9 +925,7 @@ class MasterCore {
       }
       SeedTransfer transfer = collect_donation(ctx);
       if (!transfer.seeds.empty()) {
-        Message m;
-        m.payload = std::move(transfer);
-        ctx.send(req.reply_to, std::move(m));
+        post(ctx, req.reply_to, std::move(transfer));
         pending_requests_.pop_front();
         continue;
       }
@@ -1021,17 +952,13 @@ class MasterCore {
       }
       // Every candidate is dry or dead: a definitive empty answer, which
       // marks this root dry at the requester and quenches its asking.
-      Message m;
-      m.payload = SeedTransfer{};
-      ctx.send(req.reply_to, std::move(m));
+      post(ctx, req.reply_to, SeedTransfer{});
       pending_requests_.pop_front();
     }
   }
 
   void send_relay(RankContext& ctx, int donor) {
-    Message m;
-    m.payload = SeedRelay{};
-    ctx.send(donor, std::move(m));
+    post(ctx, donor, SeedRelay{});
     relay_outstanding_ = true;
     relay_target_ = donor;
   }
@@ -1045,7 +972,7 @@ class MasterCore {
     // may declare them: their own re-home detection runs on the same
     // silence clock as ours, so a fresh adoptee may legitimately report
     // up to a full deadline late.
-    last_heard_[slave] = ctx.now() + deadline();
+    last_heard_[slave] = ctx.now() + deadline(params_);
   }
 
   // Absorb a dead coordinator: its unassigned seed pool and termination
@@ -1073,11 +1000,7 @@ class MasterCore {
 
   void absorb_recovered(RankContext& ctx, int dead) {
     RecoveredWork work = ctx.recover_rank(dead);
-    for (Particle& p : work.active) {
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    for (Particle& p : work.active) pool_seed(ctx, std::move(p));
     merge_total(dead, work.terminated_total);
   }
 
@@ -1148,9 +1071,7 @@ class MasterCore {
       if (total > 0) tc.totals.emplace_back(rank, total);
     }
     if (tc.totals.empty()) return;
-    Message m;
-    m.payload = std::move(tc);
-    ctx.send(counter, std::move(m));
+    post(ctx, counter, std::move(tc));
     totals_dirty_ = false;
     last_published_counter_ = counter;
   }
@@ -1163,38 +1084,26 @@ class MasterCore {
 
   void finish_everyone(RankContext& ctx) {
     for (int m = 0; m < layout_.num_masters; ++m) {
-      if (m == self_ || !ctx.is_alive(m)) continue;
-      Message msg;
-      msg.payload = DoneSignal{};
-      ctx.send(m, std::move(msg));
+      if (m != self_ && ctx.is_alive(m)) post(ctx, m, DoneSignal{});
     }
-    if (params_.failover) {
-      // A master can die with its DoneSignal still in flight; its orphans
-      // would then re-home to a coordinator that already finished.  The
-      // counter closes that window by terminating every live slave
-      // directly (duplicate kTerminates are idempotent).
-      for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
-        if (s == self_ || !ctx.is_alive(s)) continue;
-        Command cmd;
-        cmd.type = Command::Type::kTerminate;
-        send_command(ctx, s, std::move(cmd));
-      }
-      finished_ = true;
-      return;
-    }
-    terminate_group(ctx);
+    // With failover a master can die with its DoneSignal still in flight;
+    // its orphans would then re-home to a coordinator that already
+    // finished.  The counter closes that window by terminating every live
+    // slave directly (duplicate kTerminates are idempotent).
+    terminate_slaves(ctx, /*everyone=*/params_.failover);
   }
 
-  void terminate_group(RankContext& ctx) {
-    // Every live slave this coordinator is responsible for: the layout
-    // group (including slaves erased from records_ by a false-positive
-    // declare-dead), plus anyone adopted through failover.
+  // Send kTerminate to every live slave rank but us — all of them, or
+  // only those this coordinator is responsible for: its layout group
+  // (including slaves erased from records_ by a false-positive
+  // declare-dead), plus anyone adopted through failover — and finish.
+  void terminate_slaves(RankContext& ctx, bool everyone) {
     for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
       if (s == self_ || !ctx.is_alive(s)) continue;
-      if (records_.count(s) == 0 && !coordinates(ctx, s)) continue;
-      Command cmd;
-      cmd.type = Command::Type::kTerminate;
-      send_command(ctx, s, std::move(cmd));
+      if (!everyone && records_.count(s) == 0 && !coordinates(ctx, s)) {
+        continue;
+      }
+      post(ctx, s, command(Command::Type::kTerminate));
     }
     finished_ = true;
   }
@@ -1202,22 +1111,7 @@ class MasterCore {
   bool coordinates(const RankContext& ctx, int slave) const {
     const int m = layout_.master_of(slave);
     if (ctx.is_alive(m)) return m == self_;
-    return adopter_of(ctx, m) == self_;
-  }
-
-  // The unique live rank responsible for absorbing a dead coordinator:
-  // its parent root when the tree is on and the parent survives, else the
-  // global successor.  Uniqueness keeps ledger recovery single-fire on
-  // the primary path (duplicate adoption stays safe — recovered credits
-  // max-merge and re-run terminations dedup — but never happens fault-
-  // free under this rule).
-  int adopter_of(const RankContext& ctx, int dead_master) const {
-    if (layout_.num_roots > 0 && dead_master >= layout_.num_roots &&
-        dead_master < layout_.num_masters) {
-      const int parent = layout_.root_of(dead_master);
-      if (ctx.is_alive(parent)) return parent;
-    }
-    return successor_rank(ctx, layout_);
+    return adopter_of(ctx, layout_, m) == self_;
   }
 
   const BlockDecomposition* decomp_;
@@ -1262,26 +1156,37 @@ class MasterCore {
 };
 
 // ---------------------------------------------------------------------------
-// Slave
+// Rank program
 // ---------------------------------------------------------------------------
 
-class HybridSlave final : public RankProgram {
+// The one hybrid rank program.  A slave advances streamlines from its
+// block cache and reports status to its coordinator; a layout master
+// engages the MasterCore at start and only coordinates.  A slave that
+// finds every master dead engages the same core on promotion and keeps
+// advecting its own pool alongside (the core never schedules it).
+class HybridRank final : public RankProgram {
  public:
-  HybridSlave(const BlockDecomposition* decomp, int rank, HybridLayout layout,
-              HybridParams params, std::uint32_t total_active)
+  HybridRank(const BlockDecomposition* decomp, int rank, HybridLayout layout,
+             HybridParams params, std::vector<Particle> seeds,
+             std::uint32_t total_active)
       : decomp_(decomp),
         rank_(rank),
         layout_(layout),
         params_(params),
         total_active_(total_active),
-        master_(layout.master_of(rank)),
-        coord_(master_) {}
+        coord_(layout.is_master(rank) ? rank : layout.master_of(rank)),
+        initial_seeds_(std::move(seeds)) {}
 
   void start(RankContext& ctx) override {
     // Slaves begin idle; everything arrives from the master.  Do not
     // report yet — the master hands out the initial allocation unasked.
     master_heard_ = ctx.now();
-    if (params_.heartbeat_period > 0.0) {
+    if (layout_.is_master(rank_)) {
+      core_.emplace(decomp_, rank_, layout_, params_, total_active_);
+      core_->start_as_master(ctx, std::exchange(initial_seeds_, {}));
+      core_post(ctx);
+    }
+    if (params_.heartbeat_period > 0.0 && !finished_) {
       ctx.set_timer(params_.heartbeat_period);
     }
   }
@@ -1316,8 +1221,8 @@ class HybridSlave final : public RankProgram {
     }
     if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
       // A shipment bounced (dropped link or dead receiver): take the
-      // particles back.  A plain worker re-pools them for re-routing; an
-      // acting master reclaims them through its scheduling machinery.
+      // particles back.  A plain worker re-pools them for re-routing; a
+      // coordinator reclaims them through its scheduling machinery.
       if (core_) {
         core_->reclaim_undelivered(ctx, std::move(*undeliv));
         core_post(ctx);
@@ -1346,24 +1251,28 @@ class HybridSlave final : public RankProgram {
       return;
     }
 
-    // Coordinator-side traffic (statuses, boards, seed balancing, done):
-    // only meaningful once this slave is the failover successor.  A peer
-    // that computed us as successor may deliver before our own silence
-    // detection fires — promote on demand; the liveness view makes this
-    // safe (successor == self implies every master is already dead).
+    // Coordinator-side traffic (statuses, boards, seed balancing, done).
+    // On a slave it only means something once it is the failover
+    // successor.  A peer that computed us as successor may deliver before
+    // our own silence detection fires — promote on demand; the liveness
+    // view makes this safe (successor == self implies every master is
+    // already dead).
     if (!core_ && params_.failover && !finished_ &&
         successor_rank(ctx, layout_) == rank_) {
       promote(ctx);
     }
-    if (!core_ || finished_) return;
+    // A finished layout master still hands the core late re-homes (it
+    // answers them with the terminate they missed); a finished promoted
+    // slave goes quiet.
+    if (!core_ || (finished_ && !layout_.is_master(rank_))) return;
     if (auto* status = std::get_if<StatusUpdate>(&msg.payload)) {
       core_->on_status(ctx, msg.from, std::move(*status));
     } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
       core_->on_termination_count(ctx, term->totals);
     } else if (std::holds_alternative<SeedRequest>(msg.payload)) {
-      core_->on_seed_request(ctx, msg.from);
+      core_->on_seed_request(ctx, msg.from, /*may_escalate=*/true);
     } else if (std::holds_alternative<SeedRelay>(msg.payload)) {
-      core_->on_seed_relay(ctx, msg.from);
+      core_->on_seed_request(ctx, msg.from, /*may_escalate=*/false);
     } else if (auto* transfer = std::get_if<SeedTransfer>(&msg.payload)) {
       core_->on_seed_transfer(ctx, msg.from, std::move(*transfer));
     } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
@@ -1399,7 +1308,7 @@ class HybridSlave final : public RankProgram {
     }
     reported_ = false;
     if (core_) {
-      core_->note_local_terminations(ctx, rank_, terminated_total_);
+      core_->on_termination_count(ctx, {{rank_, terminated_total_}});
       core_post(ctx);
       return;
     }
@@ -1415,6 +1324,7 @@ class HybridSlave final : public RankProgram {
   void snapshot_particles(std::vector<Particle>& out) const override {
     pool_.append_all(out);
     out.insert(out.end(), in_flight_.begin(), in_flight_.end());
+    out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
     if (core_) core_->snapshot_seeds(out);
   }
 
@@ -1475,12 +1385,10 @@ class HybridSlave final : public RankProgram {
   // acting masters.
   void maybe_failover(RankContext& ctx) {
     if (!params_.failover || params_.heartbeat_period <= 0.0) return;
-    const double deadline =
-        static_cast<double>(params_.heartbeat_miss_limit) *
-        params_.heartbeat_period;
-    if (ctx.now() - master_heard_ <= deadline) return;  // not silent yet
+    if (ctx.now() - master_heard_ <= deadline(params_)) return;  // not yet
     if (ctx.is_alive(coord_)) return;  // silent but alive: keep waiting
-    const int succ = rehome_target(ctx);
+    // Re-home to whichever rank absorbs our dead coordinator's group.
+    const int succ = adopter_of(ctx, layout_, coord_);
     if (succ == rank_) {
       promote(ctx);
       return;
@@ -1491,34 +1399,20 @@ class HybridSlave final : public RankProgram {
     send_status(ctx, workable(ctx), orphaned);
   }
 
-  // Where an orphaned slave re-homes: the adopter of its dead coordinator
-  // — the parent root of a dead leaf master when the tree is on and that
-  // root survives, else the global successor (which may be this slave
-  // itself, promoting).  Mirrors MasterCore::adopter_of so the slave
-  // re-reports to exactly the rank that absorbed its group.
-  int rehome_target(const RankContext& ctx) const {
-    if (layout_.num_roots > 0 && coord_ >= layout_.num_roots &&
-        coord_ < layout_.num_masters) {
-      const int parent = layout_.root_of(coord_);
-      if (ctx.is_alive(parent)) return parent;
-    }
-    return successor_rank(ctx, layout_);
-  }
-
-  // Become the acting master: instantiate the identical scheduling core a
-  // real master runs, adopt every dead coordinator's ledger state, and
-  // keep advecting our own pool alongside (the core never schedules us).
+  // Become the acting master: engage the scheduling core a layout master
+  // runs, adopt every dead coordinator's ledger state, and keep advecting
+  // our own pool alongside (the core never schedules us).
   void promote(RankContext& ctx) {
     core_.emplace(decomp_, rank_, layout_, params_, total_active_);
     core_->start_as_successor(ctx);
-    core_->note_local_terminations(ctx, rank_, terminated_total_);
+    core_->on_termination_count(ctx, {{rank_, terminated_total_}});
     core_post(ctx);
   }
 
   // After any core interaction: propagate its finish, and in solo mode
-  // (no live slave left to command) integrate the seed pool ourselves.
+  // (a promoted slave with no live slave left to command) integrate the
+  // seed pool ourselves.
   void core_post(RankContext& ctx) {
-    if (!core_) return;
     if (core_->finished()) {
       finished_ = true;
       return;
@@ -1550,11 +1444,12 @@ class HybridSlave final : public RankProgram {
   void ship_particles(RankContext& ctx, int target, BlockId block,
                       std::vector<Particle> particles) {
     if (particles.empty()) return;
-    ctx.charge_particle_memory(-static_cast<std::int64_t>(
-        particles_resident_bytes(particles, ctx.model())));
-    Message m;
-    m.payload = ParticleBatch{block, std::move(particles)};
-    ctx.send(target, std::move(m));
+    std::size_t bytes = 0;
+    for (const Particle& p : particles) {
+      bytes += resident_particle_bytes(p, ctx.model());
+    }
+    ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
+    post(ctx, target, ParticleBatch{block, std::move(particles)});
   }
 
   void request_if_needed(RankContext& ctx, BlockId b) {
@@ -1605,9 +1500,7 @@ class HybridSlave final : public RankProgram {
                                         : 0.0);
     s.computing = in_flight_steps_ > 0;
     s.orphaned_from = orphaned_from;
-    Message m;
-    m.payload = std::move(s);
-    ctx.send(coord_, std::move(m));
+    post(ctx, coord_, std::move(s));
     reported_ = true;
   }
 
@@ -1662,11 +1555,7 @@ class HybridSlave final : public RankProgram {
     if (core_) {
       // Acting master: nobody commands our loads, so self-serve the
       // densest pooled block, Load-On-Demand style.
-      const BlockId next = pool_.densest_block();
-      if (next != kInvalidBlock && !ctx.block_pending(next)) {
-        ++pending_loads_;
-        ctx.request_block(next);
-      }
+      request_if_needed(ctx, pool_.densest_block());
       return;
     }
 
@@ -1679,8 +1568,8 @@ class HybridSlave final : public RankProgram {
   HybridLayout layout_;
   HybridParams params_;
   std::uint32_t total_active_;  // global streamline count
-  int master_;                  // the layout's master for this slave
   int coord_;                   // current coordinator (re-homed on failover)
+  std::vector<Particle> initial_seeds_;  // a leaf master's pool until start
 
   ParticlePool pool_;
   std::vector<Particle> done_;
@@ -1696,80 +1585,10 @@ class HybridSlave final : public RankProgram {
   int pending_loads_ = 0;
   bool reported_ = false;
   bool finished_ = false;
-  // Engaged on promotion: this slave is now the acting master.
+  // Engaged at start on layout masters, and on promotion on a slave.
   std::optional<MasterCore> core_;
 };
 
-// ---------------------------------------------------------------------------
-// Master
-// ---------------------------------------------------------------------------
-
-class HybridMaster final : public RankProgram {
- public:
-  HybridMaster(const BlockDecomposition* decomp, int rank,
-               HybridLayout layout, HybridParams params,
-               std::vector<Particle> seeds, std::uint32_t total_active)
-      : core_(decomp, rank, layout, params, total_active),
-        params_(params),
-        initial_seeds_(std::move(seeds)) {}
-
-  void start(RankContext& ctx) override {
-    core_.start_as_master(ctx, std::move(initial_seeds_));
-    initial_seeds_.clear();
-    if (params_.heartbeat_period > 0.0 && !core_.finished()) {
-      ctx.set_timer(params_.heartbeat_period);
-    }
-  }
-
-  void on_timer(RankContext& ctx) override {
-    if (core_.finished()) return;
-    core_.tick(ctx);
-    if (!core_.finished()) ctx.set_timer(params_.heartbeat_period);
-  }
-
-  void on_message(RankContext& ctx, Message msg) override {
-    // Masters never receive raw particle traffic: slaves ship batches to
-    // each other and report via StatusUpdate, and only masters issue
-    // Commands.  Beacons flow master -> slave, and ControlAck is consumed
-    // by the runtime's transport layer.
-    // protocol-lint: ignores ParticleBatch, Command, MasterBeacon
-    // protocol-lint: ignores ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
-    if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
-      core_.reclaim_undelivered(ctx, std::move(*undeliv));
-    } else if (auto* status = std::get_if<StatusUpdate>(&msg.payload)) {
-      core_.on_status(ctx, msg.from, std::move(*status));
-    } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
-      core_.on_termination_count(ctx, term->totals);
-    } else if (std::holds_alternative<SeedRequest>(msg.payload)) {
-      core_.on_seed_request(ctx, msg.from);
-    } else if (std::holds_alternative<SeedRelay>(msg.payload)) {
-      core_.on_seed_relay(ctx, msg.from);
-    } else if (auto* transfer = std::get_if<SeedTransfer>(&msg.payload)) {
-      core_.on_seed_transfer(ctx, msg.from, std::move(*transfer));
-    } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
-      core_.on_done_signal(ctx);
-    }
-  }
-
-  void on_block_loaded(RankContext&, BlockId) override {}
-  void on_compute_done(RankContext&) override {}
-
-  bool finished() const override { return core_.finished(); }
-
-  void collect_particles(std::vector<Particle>&) const override {}
-
-  void snapshot_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
-    core_.snapshot_seeds(out);
-  }
-
- private:
-  MasterCore core_;
-  HybridParams params_;
-  std::vector<Particle> initial_seeds_;
-};
 
 }  // namespace
 
@@ -1800,20 +1619,16 @@ ProgramFactory make_hybrid(const BlockDecomposition* decomp,
              int rank, int num_ranks) -> std::unique_ptr<RankProgram> {
     const HybridLayout layout = HybridLayout::make(
         num_ranks, params.slaves_per_master, params.root_fanout);
-    if (layout.is_master(rank)) {
-      // Seeds are partitioned over the leaf masters (the masters that own
-      // slave groups); roots start empty and only hold seeds transiently
-      // while brokering.
-      std::vector<Particle> seeds;
-      if (!layout.is_root(rank)) {
-        seeds = std::move(
-            (*shared)[static_cast<std::size_t>(rank - layout.num_roots)]);
-      }
-      return std::make_unique<HybridMaster>(decomp, rank, layout, params,
-                                            std::move(seeds), total_active);
+    // Seeds are partitioned over the leaf masters (the masters that own
+    // slave groups); roots start empty and only hold seeds transiently
+    // while brokering, and slaves get theirs from a master.
+    std::vector<Particle> seeds;
+    if (layout.is_master(rank) && !layout.is_root(rank)) {
+      seeds = std::move(
+          (*shared)[static_cast<std::size_t>(rank - layout.num_roots)]);
     }
-    return std::make_unique<HybridSlave>(decomp, rank, layout, params,
-                                         total_active);
+    return std::make_unique<HybridRank>(decomp, rank, layout, params,
+                                        std::move(seeds), total_active);
   };
 }
 

@@ -634,59 +634,7 @@ TEST(CheckpointRestartValidation, RejectsMismatchedRunTopology) {
 // ---------------------------------------------------------------------------
 // Undeliverable bounce handling (unit level)
 
-// A minimal RankContext: records sends, block requests and memory
-// charges, never computes (nothing is resident).  Lets the bounce
-// handlers be driven directly, including the dead-owner re-routing that
-// an end-to-end run only reaches through rare drop/crash interleavings.
-class FakeContext final : public RankContext {
- public:
-  FakeContext(const BlockDecomposition* decomp, const Tracer* tracer,
-              int rank, int num_ranks)
-      : alive(static_cast<std::size_t>(num_ranks), true),
-        decomp_(decomp),
-        tracer_(tracer),
-        model_(sf::testing::test_model()),
-        rank_(rank),
-        num_ranks_(num_ranks) {}
-
-  int rank() const override { return rank_; }
-  int num_ranks() const override { return num_ranks_; }
-  double now() const override { return 0.0; }
-  const BlockDecomposition& decomposition() const override {
-    return *decomp_;
-  }
-  const Tracer& tracer() const override { return *tracer_; }
-  const MachineModel& model() const override { return model_; }
-  void send(int to, Message msg) override {
-    sent.emplace_back(to, std::move(msg));
-  }
-  void request_block(BlockId id) override { requested.push_back(id); }
-  bool block_resident(BlockId) const override { return false; }
-  bool block_pending(BlockId) const override { return false; }
-  std::vector<BlockId> resident_blocks() const override { return {}; }
-  const StructuredGrid* block(BlockId) override { return nullptr; }
-  void begin_compute(double, std::uint64_t) override { ++computes; }
-  bool busy() const override { return false; }
-  void charge_particle_memory(std::int64_t delta) override {
-    charged += delta;
-  }
-  bool is_alive(int target) const override {
-    return alive[static_cast<std::size_t>(target)];
-  }
-
-  std::vector<std::pair<int, Message>> sent;
-  std::vector<BlockId> requested;
-  std::vector<bool> alive;
-  std::int64_t charged = 0;
-  int computes = 0;
-
- private:
-  const BlockDecomposition* decomp_;
-  const Tracer* tracer_;
-  MachineModel model_;
-  int rank_;
-  int num_ranks_;
-};
+using sf::testing::FakeContext;
 
 // One in-domain particle per ownership side of a 2-rank contiguous split.
 struct BouncePair {

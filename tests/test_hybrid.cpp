@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "algorithms/driver.hpp"
 #include "test_support.hpp"
 
@@ -300,6 +303,191 @@ TEST(Hybrid, EmptySeedSetTerminates) {
       run_experiment(cfg, w.decomp(), *w.source, std::span<const Vec3>{});
   EXPECT_FALSE(m.failed_oom);
   EXPECT_TRUE(m.particles.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The §4.3 rules, one hand-built status at a time (unit level)
+
+using sf::testing::FakeContext;
+
+constexpr BlockId kBlockA = 5;
+constexpr BlockId kBlockB = 21;
+constexpr BlockId kBlockC = 42;
+
+// Rank 0 of a make_hybrid run over `num_ranks` ranks — the lone master of
+// slaves 1..num_ranks-1 at the paper's N = 10, NO = 20 N, NL = 40 —
+// started on a FakeContext with `seeds[b]` seeds at the centre of block b.
+struct MasterBench {
+  sf::testing::TestWorld w = sf::testing::rotor_world(4);
+  Tracer tracer{&w.decomp(), IntegratorParams{}, TraceLimits{}};
+  FakeContext ctx;
+  std::unique_ptr<RankProgram> master;
+
+  MasterBench(int num_ranks, const std::map<BlockId, int>& seeds)
+      : ctx(&w.decomp(), &tracer, 0, num_ranks) {
+    HybridParams params;
+    params.slaves_per_master = num_ranks - 1;
+    std::vector<Particle> pool;
+    for (const auto& [block, count] : seeds) {
+      for (int i = 0; i < count; ++i) {
+        Particle p;
+        p.id = static_cast<std::uint32_t>(pool.size());
+        p.pos = w.decomp().block_bounds(block).center();
+        pool.push_back(p);
+      }
+    }
+    master = make_hybrid(&w.decomp(), {pool}, 1000, params)(0, num_ranks);
+    master->start(ctx);
+  }
+
+  void status(int from, StatusUpdate s) {
+    Message m;
+    m.from = from;
+    m.payload = std::move(s);
+    master->on_message(ctx, std::move(m));
+  }
+
+  // Every Command of `type` sent so far, with its destination.
+  std::vector<std::pair<int, Command>> sent(Command::Type type) const {
+    std::vector<std::pair<int, Command>> out;
+    for (const auto& [to, msg] : ctx.sent) {
+      const auto* cmd = std::get_if<Command>(&msg.payload);
+      if (cmd != nullptr && cmd->type == type) out.emplace_back(to, *cmd);
+    }
+    return out;
+  }
+
+  std::size_t pooled() const {
+    std::vector<Particle> out;
+    master->snapshot_particles(out);
+    return out.size();
+  }
+};
+
+StatusUpdate starving(std::vector<std::pair<BlockId, std::uint32_t>> queued =
+                          {},
+                      std::vector<BlockId> loaded = {}) {
+  StatusUpdate s;
+  s.queued_by_block = std::move(queued);
+  s.loaded = std::move(loaded);
+  return s;
+}
+
+StatusUpdate busy(std::uint32_t workable, std::vector<BlockId> loaded = {},
+                  std::vector<std::pair<BlockId, std::uint32_t>> queued = {}) {
+  StatusUpdate s = starving(std::move(queued), std::move(loaded));
+  s.workable = workable;
+  return s;
+}
+
+TEST(HybridRules, InitialAllocationIsNSeedsPerSlaveFromTheDensestBlock) {
+  MasterBench bench(3, {{kBlockA, 12}, {kBlockB, 30}});
+  const auto assigns = bench.sent(Command::Type::kAssign);
+  ASSERT_EQ(assigns.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    const auto& [to, cmd] = assigns[static_cast<std::size_t>(i)];
+    EXPECT_EQ(to, i + 1);
+    EXPECT_EQ(cmd.block, kBlockB);
+    ASSERT_EQ(cmd.particles.size(), 10u);
+    for (const Particle& p : cmd.particles) {
+      EXPECT_EQ(bench.w.decomp().block_of(p.pos), kBlockB);
+    }
+  }
+  EXPECT_EQ(bench.ctx.sent.size(), 2u);  // nothing but the assignments
+  EXPECT_EQ(bench.pooled(), 22u);
+}
+
+TEST(HybridRules, MasterChargesExactlyItsPooledSeeds) {
+  // Pooled seeds are charged at solver-state size and must be refunded
+  // the same when they leave: the charge always equals the pool.
+  const auto seed_bytes =
+      static_cast<std::int64_t>(particle_message_bytes(Particle{}, false));
+  MasterBench bench(3, {{kBlockA, 12}, {kBlockB, 30}});
+  EXPECT_EQ(bench.ctx.charged,
+            seed_bytes * static_cast<std::int64_t>(bench.pooled()));
+  bench.status(1, starving());
+  EXPECT_EQ(bench.sent(Command::Type::kAssign).size(), 3u);
+  EXPECT_EQ(bench.pooled(), 12u);
+  EXPECT_EQ(bench.ctx.charged, seed_bytes * 12);
+}
+
+TEST(HybridRules, AssignLoadedPreferredOnceABlockIsReportedLoaded) {
+  MasterBench bench(3, {{kBlockB, 40}, {kBlockC, 15}});
+  bench.ctx.sent.clear();  // initial allocation: 10 + 10 from B
+  // Nothing loaded: Assign_unloaded from the densest block (B: 20 > 15).
+  bench.status(2, starving());
+  // C reported loaded: Assign_loaded from C, although B is denser.
+  bench.status(1, starving({}, {kBlockC}));
+  const auto assigns = bench.sent(Command::Type::kAssign);
+  ASSERT_EQ(assigns.size(), 2u);
+  EXPECT_EQ(assigns[0].first, 2);
+  EXPECT_EQ(assigns[0].second.block, kBlockB);
+  EXPECT_EQ(assigns[1].first, 1);
+  EXPECT_EQ(assigns[1].second.block, kBlockC);
+  EXPECT_EQ(assigns[1].second.particles.size(), 10u);
+}
+
+TEST(HybridRules, SendForceWithheldAboveTheOverloadLimit) {
+  // Slave 1 has 30 particles stuck in A, which slave 2 holds.  Moving them
+  // is allowed while slave 2's load stays within NO = 200.
+  for (const std::uint32_t load : {170u, 171u}) {
+    MasterBench bench(3, {});
+    bench.status(2, busy(load, {kBlockA}));
+    bench.status(1, starving({{kBlockA, 30}}));
+    const auto forces = bench.sent(Command::Type::kSendForce);
+    if (load + 30 <= 200) {
+      ASSERT_EQ(forces.size(), 1u) << "load " << load;
+      EXPECT_EQ(forces[0].first, 1);
+      EXPECT_EQ(forces[0].second.block, kBlockA);
+      EXPECT_EQ(forces[0].second.target, 2);
+    } else {
+      EXPECT_TRUE(forces.empty()) << "load " << load;
+    }
+  }
+}
+
+TEST(HybridRules, LoadFiresOnlyAboveNLStuckParticles) {
+  // The pool still holds seeds, so a slave not owed a Load is assigned.
+  for (const std::uint32_t stuck : {40u, 41u}) {
+    MasterBench bench(3, {{kBlockA, 30}});
+    bench.ctx.sent.clear();
+    bench.status(1, starving({{kBlockB, stuck}}));
+    const auto loads = bench.sent(Command::Type::kLoad);
+    const auto assigns = bench.sent(Command::Type::kAssign);
+    if (stuck > 40) {
+      ASSERT_EQ(loads.size(), 1u);
+      EXPECT_EQ(loads[0].first, 1);
+      EXPECT_EQ(loads[0].second.block, kBlockB);
+      EXPECT_TRUE(assigns.empty());
+    } else {
+      EXPECT_TRUE(loads.empty());
+      ASSERT_EQ(assigns.size(), 1u);
+      EXPECT_EQ(assigns[0].second.block, kBlockA);
+    }
+  }
+}
+
+TEST(HybridRules, StarvingSlaveGetsOneSendHintPerStatus) {
+  // Slave 3 holds B, so nobody is told to load it again; slave 2 is the
+  // busiest and has 5 particles waiting in B.  Slave 1 starves.
+  MasterBench bench(4, {});
+  bench.status(3, busy(10, {kBlockB}));
+  bench.status(2, busy(20, {}, {{kBlockB, 5}}));
+  bench.status(1, starving());
+  auto hints = bench.sent(Command::Type::kSendHint);
+  ASSERT_EQ(hints.size(), 1u);
+  EXPECT_EQ(hints[0].first, 2);
+  EXPECT_EQ(hints[0].second.target, 1);
+  EXPECT_EQ(hints[0].second.hint_blocks, std::vector<BlockId>{kBlockB});
+  EXPECT_TRUE(bench.sent(Command::Type::kLoad).empty());
+
+  // Another slave's status re-runs the rules for slave 1: no second hint.
+  bench.status(3, busy(10, {kBlockB}));
+  EXPECT_EQ(bench.sent(Command::Type::kSendHint).size(), 1u);
+
+  // Slave 1's own next status re-arms it.
+  bench.status(1, starving());
+  EXPECT_EQ(bench.sent(Command::Type::kSendHint).size(), 2u);
 }
 
 }  // namespace

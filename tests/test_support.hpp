@@ -4,12 +4,16 @@
 // flow whose trajectories cross blocks predictably), fast machine models
 // and a default experiment config.
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "algorithms/driver.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/dataset.hpp"
 #include "core/seeds.hpp"
+#include "runtime/rank_context.hpp"
 
 namespace sf::testing {
 
@@ -73,5 +77,60 @@ inline ExperimentConfig test_config(Algorithm algo, int ranks) {
   cfg.hybrid.slaves_per_master = 8;
   return cfg;
 }
+
+// A minimal RankContext: records sends, block requests and memory
+// charges, never computes (nothing is resident).  Lets a rank program be
+// driven directly by hand-built messages — the bounce handlers' rare
+// drop/crash interleavings, or the hybrid master's rules one status at a
+// time.
+class FakeContext final : public RankContext {
+ public:
+  FakeContext(const BlockDecomposition* decomp, const Tracer* tracer,
+              int rank, int num_ranks)
+      : alive(static_cast<std::size_t>(num_ranks), true),
+        decomp_(decomp),
+        tracer_(tracer),
+        model_(test_model()),
+        rank_(rank),
+        num_ranks_(num_ranks) {}
+
+  int rank() const override { return rank_; }
+  int num_ranks() const override { return num_ranks_; }
+  double now() const override { return 0.0; }
+  const BlockDecomposition& decomposition() const override {
+    return *decomp_;
+  }
+  const Tracer& tracer() const override { return *tracer_; }
+  const MachineModel& model() const override { return model_; }
+  void send(int to, Message msg) override {
+    sent.emplace_back(to, std::move(msg));
+  }
+  void request_block(BlockId id) override { requested.push_back(id); }
+  bool block_resident(BlockId) const override { return false; }
+  bool block_pending(BlockId) const override { return false; }
+  std::vector<BlockId> resident_blocks() const override { return {}; }
+  const StructuredGrid* block(BlockId) override { return nullptr; }
+  void begin_compute(double, std::uint64_t) override { ++computes; }
+  bool busy() const override { return false; }
+  void charge_particle_memory(std::int64_t delta) override {
+    charged += delta;
+  }
+  bool is_alive(int target) const override {
+    return alive[static_cast<std::size_t>(target)];
+  }
+
+  std::vector<std::pair<int, Message>> sent;
+  std::vector<BlockId> requested;
+  std::vector<bool> alive;
+  std::int64_t charged = 0;
+  int computes = 0;
+
+ private:
+  const BlockDecomposition* decomp_;
+  const Tracer* tracer_;
+  MachineModel model_;
+  int rank_;
+  int num_ranks_;
+};
 
 }  // namespace sf::testing

@@ -5,10 +5,11 @@
 #
 #   tools/bench/des_identical.sh PARENT_BUILD CHANGE_BUILD
 #
-# Runs io_overlap, service_load and fault_sweep (all --quick) from both
-# build directories, each side in its own scratch directory with
-# relative output paths, then cmp's every file they wrote, stdout and
-# stderr included.  Exit 0 iff all outputs are identical, 1 on any
+# Runs io_overlap, service_load, fault_sweep, scale_sweep (the only one
+# that reaches the hybrid's root tier) and ablation_hybrid (sweeps N, NO,
+# NL and W), all --quick, from both build directories, each side in its
+# own scratch directory with relative output paths, then cmp's every
+# file they wrote, stdout and stderr included.  Exit 0 iff all outputs are identical, 1 on any
 # difference, 2 on bad usage or a failed bench.
 
 set -u
@@ -25,7 +26,9 @@ run_side() {  # build-dir out-dir
   mkdir -p "$2" && cd "$2" || return 1
   "$bench/io_overlap" --quick --out=io.json > io_overlap.txt 2> io_overlap.err &&
     "$bench/service_load" --quick --out=service.json > service_load.txt 2> service_load.err &&
-    "$bench/fault_sweep" --quick --csv=. > fault_sweep.txt 2> fault_sweep.err
+    "$bench/fault_sweep" --quick --csv=. > fault_sweep.txt 2> fault_sweep.err &&
+    "$bench/scale_sweep" --quick --out=scale.json > scale_sweep.txt 2> scale_sweep.err &&
+    "$bench/ablation_hybrid" --quick --csv=. > ablation_hybrid.txt 2> ablation_hybrid.err
 }
 
 run_side "$1" "$work/parent" & parent=$!
