@@ -138,14 +138,10 @@ PreparedRun prepare_run(const ExperimentConfig& config,
         // sixth rule); masters beacon and orphaned slaves re-home to a
         // successor when their master goes silent (§11 failover).  No
         // rank is immune — a dead master's scheduling state is
-        // reconstructed from re-reports and the particle ledger.
+        // reconstructed from re-reports and the particle ledger.  The
+        // heartbeat period and miss limit come from the fault plane
+        // (RankContext::fault_plane).
         cfg.runtime.fault.detector = FaultConfig::Detector::kProgram;
-        cfg.hybrid.failover = true;
-        if (cfg.hybrid.heartbeat_period <= 0.0) {
-          cfg.hybrid.heartbeat_period = cfg.runtime.fault.heartbeat_period;
-        }
-        cfg.hybrid.heartbeat_miss_limit =
-            cfg.runtime.fault.heartbeat_miss_limit;
       }
       // Leaf masters get equal seed shares *grouped by block* (same
       // locality trick as §4.2's seed split): each master group then only

@@ -142,11 +142,18 @@ int adopter_of(const RankContext& ctx, const HybridLayout& layout, int dead) {
   return successor_rank(ctx, layout);
 }
 
+// The fault plane's heartbeat period; 0 on a fault-free run, which arms
+// no timers and so runs the paper's five rules alone.
+double heartbeat_period(const RankContext& ctx) {
+  const FaultConfig* plane = ctx.fault_plane();
+  return plane ? plane->heartbeat_period : 0.0;
+}
+
 // How long a peer may stay silent before it is presumed dead: a master's
 // deadline for its slaves (the sixth rule) and a slave's for its master.
-double deadline(const HybridParams& params) {
-  return static_cast<double>(params.heartbeat_miss_limit) *
-         params.heartbeat_period;
+double deadline(const RankContext& ctx) {
+  const FaultConfig* plane = ctx.fault_plane();
+  return plane ? plane->heartbeat_miss_limit * plane->heartbeat_period : 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +201,7 @@ class MasterCore {
       assign_seeds(ctx, slave, record);
     }
 
-    if (params_.heartbeat_period > 0.0 && !finished_) {
+    if (heartbeat_period(ctx) > 0.0 && !finished_) {
       for (const auto& [slave, record] : records_) {
         last_heard_[slave] = ctx.now();
       }
@@ -219,14 +226,14 @@ class MasterCore {
     // Detection is purely silence-based — no liveness oracle.
     std::vector<int> missing;
     for (const auto& [slave, heard_at] : last_heard_) {
-      if (ctx.now() - heard_at > deadline(params_)) missing.push_back(slave);
+      if (ctx.now() - heard_at > deadline(ctx)) missing.push_back(slave);
     }
     for (const int slave : missing) {
       declare_dead(ctx, slave);
       if (finished_) return;  // reclaimed credits may have ended the run
     }
 
-    if (!params_.failover) return;
+    if (ctx.fault_plane() == nullptr) return;
 
     // Parent duty (tree layouts): each live root absorbs its own dead
     // leaf children, keeping recovery local to the subtree instead of
@@ -276,14 +283,14 @@ class MasterCore {
 
   void on_status(RankContext& ctx, int from, StatusUpdate status) {
     if (finished_) {
-      if (params_.failover) {
+      if (ctx.fault_plane() != nullptr) {
         // A re-home that arrived after the run ended: answer with the
         // terminate the orphan missed so it can quiesce.
         post(ctx, from, command(Command::Type::kTerminate));
       }
       return;
     }
-    if (params_.failover && records_.count(from) == 0) {
+    if (ctx.fault_plane() != nullptr && records_.count(from) == 0) {
       // A re-homing orphan: adopt its dead coordinator's group first,
       // then the orphan itself.
       if (status.orphaned_from >= 0) {
@@ -296,8 +303,7 @@ class MasterCore {
     if (it == records_.end()) return;
     last_heard_[from] = ctx.now();
     apply_status(from, it->second, status);
-    update_progress(ctx, from, status.steps_total, status.busy_seconds,
-                    status.computing);
+    update_progress(ctx, from, status.progress);
     merge_total(from, status.terminated_total);
     publish_totals(ctx);
     if (finished_) return;  // terminations may have ended the run
@@ -458,12 +464,12 @@ class MasterCore {
   // wide, so a window spans multiple bursts: per-status rate samples are
   // all-or-nothing noise (a burst credits its steps at acceptance), while
   // a multi-beat window averages over the burst cadence.
-  double progress_window() const {
-    return static_cast<double>(kStragglerMinBeats) * params_.heartbeat_period;
+  static double progress_window(const RankContext& ctx) {
+    return static_cast<double>(kStragglerMinBeats) * heartbeat_period(ctx);
   }
 
-  // Straggler detection (gray failures): every status carries the
-  // slave's cumulative accepted-step watermark and its cumulative busy
+  // Straggler detection (gray failures): every fault-run status carries
+  // the slave's cumulative accepted-step watermark and its cumulative busy
   // clock.  The master differentiates watermark against busy clock over
   // fixed-width wall windows into an *effective compute speed* — steps
   // per busy second.  Wall-clock rates cannot separate "slow" from
@@ -476,11 +482,12 @@ class MasterCore {
   // and failover re-homing: a duplicate merges as zero delta, never as
   // double progress.
   void update_progress(RankContext& ctx, int slave,
-                       std::uint64_t steps_total, double busy_seconds,
-                       bool computing) {
-    if (params_.heartbeat_period <= 0.0 || !params_.speculative_reissue) {
+                       const std::optional<SlaveProgress>& progress) {
+    if (!progress || heartbeat_period(ctx) <= 0.0 ||
+        !params_.speculative_reissue) {
       return;
     }
+    const auto [steps_total, busy_seconds, computing] = *progress;
     ProgressTrack& t = progress_[slave];
     t.computing = computing;
     const double now = ctx.now();
@@ -491,7 +498,7 @@ class MasterCore {
       t.anchor_time = now;
       return;
     }
-    if (now - t.anchor_time < progress_window()) return;  // window open
+    if (now - t.anchor_time < progress_window(ctx)) return;  // window open
     const std::uint64_t ds =
         steps_total > t.anchor_steps ? steps_total - t.anchor_steps : 0;
     const double dbusy = busy_seconds - t.anchor_busy;
@@ -547,7 +554,7 @@ class MasterCore {
                      rates.end());
     const double median = rates[mid];
     if (median <= 0.0) return;
-    const double busy_floor = 0.5 * progress_window();
+    const double busy_floor = 0.5 * progress_window(ctx);
     for (auto& [slave, t] : progress_) {
       if (t.flagged || t.windows < 1) continue;
       if (t.last_busy < busy_floor) continue;
@@ -972,7 +979,7 @@ class MasterCore {
     // may declare them: their own re-home detection runs on the same
     // silence clock as ours, so a fresh adoptee may legitimately report
     // up to a full deadline late.
-    last_heard_[slave] = ctx.now() + deadline(params_);
+    last_heard_[slave] = ctx.now() + deadline(ctx);
   }
 
   // Absorb a dead coordinator: its unassigned seed pool and termination
@@ -1090,7 +1097,7 @@ class MasterCore {
     // its orphans would then re-home to a coordinator that already
     // finished.  The counter closes that window by terminating every live
     // slave directly (duplicate kTerminates are idempotent).
-    terminate_slaves(ctx, /*everyone=*/params_.failover);
+    terminate_slaves(ctx, /*everyone=*/ctx.fault_plane() != nullptr);
   }
 
   // Send kTerminate to every live slave rank but us — all of them, or
@@ -1186,8 +1193,8 @@ class HybridRank final : public RankProgram {
       core_->start_as_master(ctx, std::exchange(initial_seeds_, {}));
       core_post(ctx);
     }
-    if (params_.heartbeat_period > 0.0 && !finished_) {
-      ctx.set_timer(params_.heartbeat_period);
+    if (heartbeat_period(ctx) > 0.0 && !finished_) {
+      ctx.set_timer(heartbeat_period(ctx));
     }
   }
 
@@ -1205,7 +1212,7 @@ class HybridRank final : public RankProgram {
         send_status(ctx, workable(ctx));
       }
     }
-    if (!finished_) ctx.set_timer(params_.heartbeat_period);
+    if (!finished_) ctx.set_timer(heartbeat_period(ctx));
   }
 
   void on_message(RankContext& ctx, Message msg) override {
@@ -1240,7 +1247,8 @@ class HybridRank final : public RankProgram {
       // new coordinator's beacons would keep resetting the silence clock
       // while our reports still went to the corpse, and the adopter would
       // eventually declare *us* dead for never reporting.
-      if (params_.failover && msg.from != coord_ && !ctx.is_alive(coord_)) {
+      if (ctx.fault_plane() != nullptr && msg.from != coord_ &&
+          !ctx.is_alive(coord_)) {
         coord_ = msg.from;
       }
       return;
@@ -1257,7 +1265,7 @@ class HybridRank final : public RankProgram {
     // our own silence detection fires — promote on demand; the liveness
     // view makes this safe (successor == self implies every master is
     // already dead).
-    if (!core_ && params_.failover && !finished_ &&
+    if (!core_ && ctx.fault_plane() != nullptr && !finished_ &&
         successor_rank(ctx, layout_) == rank_) {
       promote(ctx);
     }
@@ -1384,8 +1392,8 @@ class HybridRank final : public RankProgram {
   // confirmation is what prevents a lossy-link silence from electing two
   // acting masters.
   void maybe_failover(RankContext& ctx) {
-    if (!params_.failover || params_.heartbeat_period <= 0.0) return;
-    if (ctx.now() - master_heard_ <= deadline(params_)) return;  // not yet
+    if (heartbeat_period(ctx) <= 0.0) return;
+    if (ctx.now() - master_heard_ <= deadline(ctx)) return;  // not yet
     if (ctx.is_alive(coord_)) return;  // silent but alive: keep waiting
     // Re-home to whichever rank absorbs our dead coordinator's group.
     const int succ = adopter_of(ctx, layout_, coord_);
@@ -1494,11 +1502,11 @@ class HybridRank final : public RankProgram {
     }
     s.workable = workable_now;
     s.terminated_total = terminated_total_;
-    s.steps_total = watermark(ctx);
-    s.busy_seconds = busy_total_ + (in_flight_steps_ > 0
-                                        ? ctx.now() - burst_start_
-                                        : 0.0);
-    s.computing = in_flight_steps_ > 0;
+    if (ctx.fault_plane() != nullptr) {
+      const bool computing = in_flight_steps_ > 0;
+      const double burst = computing ? ctx.now() - burst_start_ : 0.0;
+      s.progress = SlaveProgress{watermark(ctx), busy_total_ + burst, computing};
+    }
     s.orphaned_from = orphaned_from;
     post(ctx, coord_, std::move(s));
     reported_ = true;

@@ -21,12 +21,15 @@
 // live master, master 0 in fault-free runs) aggregates the global
 // termination count from per-rank cumulative totals.
 //
-// With `failover` enabled (fault runs, DESIGN.md §11) coordinator death
-// is recoverable: masters beacon their group, slaves that observe a
-// silent dead master re-home to a successor — the lowest live master, or
-// the lowest live slave promoting itself when no master survives — and
-// the successor rebuilds scheduling state from re-reported statuses plus
-// the particle ledger, so no streamline is lost.
+// On a fault run — whenever the runtime exposes a fault plane
+// (RankContext::fault_plane, DESIGN.md §7) — slaves heartbeat status,
+// masters declare silent slaves dead (the sixth rule), and coordinator
+// death is recoverable (DESIGN.md §11): masters beacon their group,
+// slaves that observe a silent dead master re-home to a successor — the
+// lowest live master, or the lowest live slave promoting itself when no
+// master survives — and the successor rebuilds scheduling state from
+// re-reported statuses plus the particle ledger, so no streamline is
+// lost.
 
 #include <cstdint>
 
@@ -40,32 +43,19 @@ struct HybridParams {
   int overload_factor = 20;   // NO = overload_factor * N
   int load_threshold = 40;    // NL: load instead of migrating
   int slaves_per_master = 32; // W
-  // Fault tolerance (DESIGN.md §7): when heartbeat_period > 0 slaves
-  // report status at least every period and the master declares a slave
-  // dead after heartbeat_miss_limit silent periods, reclaiming its
-  // streamlines (the sixth rule).  0 disables the protocol, keeping
-  // fault-free runs bit-identical to the five-rule master.
-  double heartbeat_period = 0.0;
-  int heartbeat_miss_limit = 3;
-  // Coordinator fault tolerance (DESIGN.md §11): masters beacon their
-  // slaves each heartbeat period, orphaned slaves re-home to a successor
-  // (or promote themselves), and the counter terminates stragglers
-  // directly.  Set by the driver on fault runs; off keeps the fault-free
-  // message sequence unchanged.
-  bool failover = false;
-  // Gray-failure mitigation (DESIGN.md §16): every status carries a
-  // cumulative step watermark and a cumulative busy clock; the master
-  // differentiates them over windows of kStragglerMinBeats heartbeat
-  // periods into a per-slave *effective compute speed* (steps per busy
-  // second — immune to starvation, unlike wall-clock rates), and flags a
-  // slave that holds work but whose speed falls below kStragglerSlowness
-  // x the working-group median (both constants in hybrid.cpp).  A flagged
-  // slave's ledger-owned streamlines are speculatively re-issued to
-  // healthy slaves (ownership stays with the straggler; the ledger's
-  // first-terminal-wins credit dedups the losing copies) and it receives
-  // no further assignments.  Only active when heartbeat_period > 0, i.e.
-  // on fault runs, so fault-free runs keep the exact five-rule message
-  // sequence.
+  // Gray-failure mitigation (DESIGN.md §16): every fault-run status
+  // carries a cumulative step watermark and a cumulative busy clock; the
+  // master differentiates them over windows of kStragglerMinBeats
+  // heartbeat periods into a per-slave *effective compute speed* (steps
+  // per busy second — immune to starvation, unlike wall-clock rates), and
+  // flags a slave that holds work but whose speed falls below
+  // kStragglerSlowness x the working-group median (both constants in
+  // hybrid.cpp).  A flagged slave's ledger-owned streamlines are
+  // speculatively re-issued to healthy slaves (ownership stays with the
+  // straggler; the ledger's first-terminal-wins credit dedups the losing
+  // copies) and it receives no further assignments.  Only active on fault
+  // runs with a positive heartbeat period, so fault-free runs keep the
+  // exact five-rule message sequence.
   bool speculative_reissue = true;
   // Two-level master tree (DESIGN.md §15): when the flat layout would
   // produce more than root_fanout masters, a root tier is carved out above

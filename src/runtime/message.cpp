@@ -20,11 +20,12 @@ struct ByteSizer {
     return kEnvelope + particles_bytes(b.particles, carry_geometry);
   }
   std::size_t operator()(const StatusUpdate& s) const {
-    // Trailing 24: workable+terminated_total counters plus the 8-byte
-    // steps_total progress watermark and the 8-byte busy_seconds clock
-    // (the computing bit rides in the counters' padding).
+    // Trailing 8: the workable and terminated_total counters.  A progress
+    // report adds the 8-byte steps_total watermark and the 8-byte
+    // busy_seconds clock (the computing bit rides in the counters'
+    // padding).
     return kEnvelope + s.queued_by_block.size() * 8 + s.loaded.size() * 4 +
-           s.loading.size() * 4 + 24;
+           s.loading.size() * 4 + 8 + (s.progress ? 16 : 0);
   }
   std::size_t operator()(const Command& c) const {
     return kEnvelope + 16 + particles_bytes(c.particles, carry_geometry) +

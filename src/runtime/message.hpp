@@ -35,6 +35,7 @@
 // streamlines (§8).
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -51,6 +52,29 @@ struct ParticleBatch {
   std::vector<Particle> particles;
 };
 
+// A slave's gray-failure progress report (DESIGN.md §16).  Both counters
+// are cumulative, so a re-reported or duplicated status merges as zero
+// delta, never as double progress.
+struct SlaveProgress {
+  // Progress watermark: cumulative integration steps this rank has
+  // completed (in-flight bursts pro-rated by planned duration).
+  std::uint64_t steps_total = 0;
+  // Cumulative seconds this rank has actually spent computing, measured
+  // by its own clock across burst start -> completion.  The master
+  // differentiates steps_total against busy_seconds into an *effective
+  // compute speed* (steps per busy second) — the straggler-detection
+  // signal.  Every healthy rank computes at the same speed no matter how
+  // starved it is, while a gray-slowed rank's bursts take longer than the
+  // steps they retire, so the ratio collapses by exactly the slowdown
+  // factor.
+  double busy_seconds = 0.0;
+  // True while a compute burst is in flight.  Tells the master the slave
+  // is *expected* to make progress: a zero-rate window while computing
+  // means "slow" (straggler candidate), while the same window on a slave
+  // waiting for a block load just means "starved".
+  bool computing = false;
+};
+
 struct StatusUpdate {
   // Waiting particles grouped by the block they currently reside in.
   std::vector<std::pair<BlockId, std::uint32_t>> queued_by_block;
@@ -62,24 +86,8 @@ struct StatusUpdate {
   // duplicated status merges idempotently: the receiver keeps a per-rank
   // high-water mark instead of summing deltas.
   std::uint32_t terminated_total = 0;
-  // Progress watermark: cumulative integration steps this rank has
-  // completed (in-flight bursts pro-rated by planned duration).
-  // Cumulative for the same idempotence reason.
-  std::uint64_t steps_total = 0;
-  // Cumulative seconds this rank has actually spent computing, measured
-  // by its own clock across burst start -> completion.  The master
-  // differentiates steps_total against busy_seconds into an *effective
-  // compute speed* (steps per busy second) — the straggler-detection
-  // signal (§16).  Every healthy rank computes at the same speed no
-  // matter how starved it is, while a gray-slowed rank's bursts take
-  // longer than the steps they retire, so the ratio collapses by
-  // exactly the slowdown factor.
-  double busy_seconds = 0.0;
-  // True while a compute burst is in flight.  Tells the master the slave
-  // is *expected* to make progress: a zero-rate window while computing
-  // means "slow" (straggler candidate), while the same window on a slave
-  // waiting for a block load just means "starved".
-  bool computing = false;
+  // Straggler-detector input; carried only on fault runs (DESIGN.md §16).
+  std::optional<SlaveProgress> progress;
   // When >= 0, this status re-homes the slave to a successor after its
   // master at rank `orphaned_from` went silent; the successor adopts the
   // slave and recovers the dead master's state on first sight.

@@ -27,6 +27,7 @@
 #include "core/block_decomposition.hpp"
 #include "core/dataset.hpp"
 #include "core/tracer.hpp"
+#include "fault/fault_config.hpp"
 #include "fault/ledger.hpp"
 #include "runtime/message.hpp"
 #include "sim/machine_model.hpp"
@@ -98,6 +99,11 @@ class RankContext {
   virtual void charge_particle_memory(std::int64_t delta_bytes) = 0;
 
   // ---- Fault-tolerance hooks (no-ops outside fault injection) ----
+
+  // The run's fault configuration when this runtime hosts a fault plane,
+  // else nullptr.  The one "is this a fault run?" switch: the hybrid runs
+  // its heartbeat, failover and straggler protocols only when it is set.
+  virtual const FaultConfig* fault_plane() const { return nullptr; }
 
   // Arm a one-shot timer; on_timer() fires after `seconds`.  Used by the
   // hybrid heartbeat protocol.  Default: never fires.

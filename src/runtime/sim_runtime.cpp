@@ -155,6 +155,10 @@ class SimRuntime::Context final : public RankContext {
 
   // --- fault hooks -------------------------------------------------------
 
+  const FaultConfig* fault_plane() const override {
+    return runtime_->fault_ ? &runtime_->config_.fault : nullptr;
+  }
+
   void set_timer(double seconds) override {
     engine_->schedule_after(seconds, [this] {
       if (dead()) return;

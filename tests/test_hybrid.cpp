@@ -490,5 +490,43 @@ TEST(HybridRules, StarvingSlaveGetsOneSendHintPerStatus) {
   EXPECT_EQ(bench.sent(Command::Type::kSendHint).size(), 2u);
 }
 
+TEST(HybridRules, StatusCarriesProgressOnlyOnFaultRuns) {
+  // A fault-free slave's status is sized for the paper's fields alone;
+  // the 16-byte straggler-detector report rides only when the runtime
+  // hosts a fault plane.
+  const auto w = sf::testing::rotor_world(4);
+  const Tracer tracer{&w.decomp(), IntegratorParams{}, TraceLimits{}};
+  for (const bool faulty : {false, true}) {
+    FakeContext ctx(&w.decomp(), &tracer, 1, 2);
+    if (faulty) ctx.fault = FaultConfig{};
+    auto slave = make_hybrid(&w.decomp(), {{}}, 2, HybridParams{})(1, 2);
+    slave->start(ctx);
+    Command assign;
+    assign.type = Command::Type::kAssign;
+    for (const BlockId b : {kBlockA, kBlockB}) {
+      Particle p;
+      p.pos = w.decomp().block_bounds(b).center();
+      assign.particles.push_back(p);
+    }
+    Message m;
+    m.from = 0;
+    m.payload = std::move(assign);
+    slave->on_message(ctx, std::move(m));
+    // Both loads land with nothing resident: the slave reports, once.
+    ASSERT_EQ(ctx.requested.size(), 2u);
+    for (const BlockId b : ctx.requested) slave->on_block_loaded(ctx, b);
+    ASSERT_EQ(ctx.sent.size(), 1u);
+    EXPECT_EQ(ctx.sent[0].first, 0);
+    const auto& s = std::get<StatusUpdate>(ctx.sent[0].second.payload);
+    EXPECT_EQ(s.queued_by_block.size(), 2u);
+    EXPECT_EQ(s.progress.has_value(), faulty);
+    const std::size_t paper = 32 + 8 * s.queued_by_block.size() +
+                              4 * s.loaded.size() + 4 * s.loading.size() + 8;
+    EXPECT_EQ(message_bytes(ctx.sent[0].second, true),
+              paper + (faulty ? 16u : 0u))
+        << (faulty ? "fault run" : "fault-free run");
+  }
+}
+
 }  // namespace
 }  // namespace sf

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -118,10 +119,14 @@ class FakeContext final : public RankContext {
   bool is_alive(int target) const override {
     return alive[static_cast<std::size_t>(target)];
   }
+  const FaultConfig* fault_plane() const override {
+    return fault ? &*fault : nullptr;
+  }
 
   std::vector<std::pair<int, Message>> sent;
   std::vector<BlockId> requested;
   std::vector<bool> alive;
+  std::optional<FaultConfig> fault;  // set: the program sees a fault run
   std::int64_t charged = 0;
   int computes = 0;
 
