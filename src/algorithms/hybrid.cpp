@@ -178,12 +178,11 @@ class MasterCore {
 
   bool finished() const { return finished_; }
 
-  // A promoted slave with no live slave registered must integrate the
-  // seed pool itself or the run would stall.  Never a layout master: a
-  // root's records are always empty, and it must not start advecting.
-  bool solo() const {
-    return self_ >= layout_.num_masters && records_.empty();
-  }
+  // A coordinator with no live slave registered — a promoted slave, or a
+  // leaf master whose whole group died — must integrate the seed pool
+  // itself or the run would stall.  Never a root: its records are always
+  // empty, and it must not start advecting.
+  bool solo() const { return !layout_.is_root(self_) && records_.empty(); }
 
   void start_as_master(RankContext& ctx, std::vector<Particle> seeds) {
     const auto [first, last] = layout_.slaves_of(self_);
@@ -1168,9 +1167,10 @@ class MasterCore {
 
 // The one hybrid rank program.  A slave advances streamlines from its
 // block cache and reports status to its coordinator; a layout master
-// engages the MasterCore at start and only coordinates.  A slave that
-// finds every master dead engages the same core on promotion and keeps
-// advecting its own pool alongside (the core never schedules it).
+// engages the MasterCore at start and only coordinates until its whole
+// group is dead.  A slave that finds every master dead engages the same
+// core on promotion and keeps advecting its own pool alongside (the core
+// never schedules it).
 class HybridRank final : public RankProgram {
  public:
   HybridRank(const BlockDecomposition* decomp, int rank, HybridLayout layout,
@@ -1418,8 +1418,7 @@ class HybridRank final : public RankProgram {
   }
 
   // After any core interaction: propagate its finish, and in solo mode
-  // (a promoted slave with no live slave left to command) integrate the
-  // seed pool ourselves.
+  // (no live slave left to command) integrate the seed pool ourselves.
   void core_post(RankContext& ctx) {
     if (core_->finished()) {
       finished_ = true;

@@ -400,6 +400,28 @@ TEST(CoordinatorFailoverHybrid, PeerMasterAdoptsOrphanedSlaves) {
             m.fault.crash_records[0].detect_time);
 }
 
+// A master whose only slave dies has nobody left to command: it drains
+// its own seed pool instead of waiting forever for a taker.  A hang here
+// fails through the test's CTest TIMEOUT (tests/timeouts.cmake).
+TEST(CoordinatorFailoverHybrid, MasterDrainsItsPoolWhenItsLastSlaveDies) {
+  const FaultWorld fw;
+  const auto base = fw.config(Algorithm::kHybridMasterSlave, 2);
+
+  const RunMetrics clean = fw.run(base);
+  ASSERT_FALSE(clean.failed_oom);
+  ASSERT_GT(clean.wall_clock, 0.0);
+
+  auto cfg = base;
+  cfg.runtime.fault.crashes = {{0.2 * clean.wall_clock, 1}};
+  const RunMetrics m = fw.run(cfg);
+
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_FALSE(m.failed_fault);
+  EXPECT_TRUE(m.ranks[1].crashed);
+  EXPECT_EQ(m.fault.crashes_survived, 1u);
+  expect_same_particles(clean.particles, m.particles, "last-slave-vs-clean");
+}
+
 // ---------------------------------------------------------------------------
 // Master-tree failover (DESIGN.md §15)
 //
