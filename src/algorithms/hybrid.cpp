@@ -218,6 +218,8 @@ class MasterCore {
     if (!finished_) assignment_pass(ctx);
   }
 
+  // One heartbeat period on a coordinator.  Only fault runs arm the
+  // timer, so everything below is fault-plane duty.
   void tick(RankContext& ctx) {
     if (finished_) return;
     // The sixth rule: a slave silent for heartbeat_miss_limit periods is
@@ -231,8 +233,6 @@ class MasterCore {
       declare_dead(ctx, slave);
       if (finished_) return;  // reclaimed credits may have ended the run
     }
-
-    if (ctx.fault_plane() == nullptr) return;
 
     // Parent duty (tree layouts): each live root absorbs its own dead
     // leaf children, keeping recovery local to the subtree instead of
@@ -1390,9 +1390,8 @@ class HybridRank final : public RankProgram {
   // death the runtime confirms triggers re-homing — to the successor, or
   // to ourselves by promotion when no master survives.  The liveness
   // confirmation is what prevents a lossy-link silence from electing two
-  // acting masters.
+  // acting masters.  Runs from the heartbeat timer, so on fault runs only.
   void maybe_failover(RankContext& ctx) {
-    if (heartbeat_period(ctx) <= 0.0) return;
     if (ctx.now() - master_heard_ <= deadline(ctx)) return;  // not yet
     if (ctx.is_alive(coord_)) return;  // silent but alive: keep waiting
     // Re-home to whichever rank absorbs our dead coordinator's group.

@@ -202,18 +202,6 @@ int live_owner(const RankContext& ctx, int num_blocks, BlockId block) {
   return ctx.is_alive(owner) ? owner : next_live_rank(ctx, owner);
 }
 
-AdvanceOutcome advance_and_charge(RankContext& ctx, Particle& particle) {
-  const std::uint32_t points_before = particle.geometry_points;
-  const AdvanceOutcome outcome = ctx.tracer().advance(
-      particle, [&ctx](BlockId id) { return ctx.block(id); });
-  const std::uint32_t grown = particle.geometry_points - points_before;
-  if (grown != 0) {
-    ctx.charge_particle_memory(static_cast<std::int64_t>(grown) *
-                               static_cast<std::int64_t>(sizeof(Vec3)));
-  }
-  return outcome;
-}
-
 BatchAdvanceResult advance_block_and_charge(RankContext& ctx,
                                             std::span<Particle> batch) {
   std::int64_t points_before = 0;

@@ -79,15 +79,11 @@ std::vector<Particle> make_particles(const BlockDecomposition& decomp,
                                      std::span<const Vec3> seeds,
                                      std::vector<Particle>& rejected);
 
-// Advance one particle against the rank's cache and account for the
-// geometry its trajectory grew.  Returns the outcome; the caller charges
-// compute cost via ctx.begin_compute.
-AdvanceOutcome advance_and_charge(RankContext& ctx, Particle& particle);
-
-// Batched form: advance every particle of one block's pool queue in a
-// single burst through Tracer::advance_batch (shared block/cell cursor),
-// charging the summed geometry growth.  outcome[i] matches batch[i];
-// total_steps sums the accepted steps for ctx.begin_compute.
+// Advance every particle of one block's pool queue against the rank's
+// cache in a single burst through Tracer::advance_batch (shared
+// block/cell cursor), charging the summed geometry growth.  outcome[i]
+// matches batch[i]; total_steps sums the accepted steps for
+// ctx.begin_compute.
 struct BatchAdvanceResult {
   std::vector<AdvanceOutcome> outcomes;
   std::uint64_t total_steps = 0;

@@ -237,14 +237,12 @@ class SimRuntime::Context final : public RankContext {
       FaultState& fs = *runtime_->fault_;
       if (fs.injector.draw_disk_fault()) {
         faulted = true;
-        disk_->note_faulted_read();
         ++fs.stats.disk_faults;
       } else if (fs.injector.draw_disk_corrupt()) {
         // Silent payload bit-flip.  The checksum catches it at completion
         // (never delivered to the tracer), so the attempt behaves exactly
         // like a failed read and walks the same capped-backoff ladder.
         faulted = true;
-        disk_->note_faulted_read();
         ++fs.stats.corruptions_injected;
         ++fs.stats.corruptions_detected;
       } else if (fs.injector.draw_disk_stall()) {
@@ -542,7 +540,6 @@ void SimRuntime::fault_send(int from, int to, SimTime arrive,
   }
 
   if (fs.injector.draw_message_drop()) {
-    network_->note_dropped(bytes);
     ++fs.stats.messages_dropped;
     engine_->schedule_at(arrive, [this, to, m = std::move(msg)]() mutable {
       bounce_undeliverable(to, std::move(m));
@@ -579,7 +576,6 @@ void SimRuntime::transmit_control(int from, int to, std::uint32_t seq,
   PendingControl& pc = pit->second;
 
   if (fs.injector.draw_message_drop()) {
-    network_->note_dropped(pc.bytes);
     ++fs.stats.messages_dropped;
   } else {
     engine_->schedule_at(
@@ -652,7 +648,6 @@ void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
   // Acks draw from the same lossy link but are never retransmitted: a
   // lost ack just provokes one more (deduped) retransmit of the data.
   if (fs.injector.draw_message_drop()) {
-    network_->note_dropped(bytes);
     ++fs.stats.messages_dropped;
     return;
   }
