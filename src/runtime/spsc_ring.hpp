@@ -60,7 +60,33 @@ namespace detail {
 // waiter load runs after the barrier and sees the announcement).  When
 // the syscall is unavailable (non-Linux, seccomp) both sides fall back
 // to the symmetric seq_cst fence.
-#if defined(__linux__)
+//
+// ThreadSanitizer models neither standalone fences nor membarrier, and
+// GCC rejects atomic_thread_fence under -fsanitize=thread (-Wtsan).  A
+// TSan build therefore runs both halves as a seq_cst RMW on one shared
+// atomic: RMWs on one object are totally ordered and each acquires what
+// the earlier ones released, so whichever side's RMW comes second sees
+// the other side's store — the same Dekker guarantee, in a form TSan
+// checks.  Release builds never compile this branch.
+#if defined(__SANITIZE_THREAD__)
+#define SF_PARKING_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SF_PARKING_TSAN 1
+#endif
+#endif
+
+#if defined(SF_PARKING_TSAN)
+inline void parking_tsan_fence() {
+  static std::atomic<unsigned> word{0};
+  // lockfree-lint: spsc — both parking halves RMW this one word; the
+  // later RMW synchronizes with the earlier (acq_rel), so the earlier
+  // side's store happens-before the later side's load (Dekker).
+  word.fetch_add(1, std::memory_order_seq_cst);
+}
+inline void parking_heavy_fence() { parking_tsan_fence(); }
+inline void parking_light_fence() { parking_tsan_fence(); }
+#elif defined(__linux__)
 inline bool asymmetric_fence_available() {
   static const bool ok = [] {
     const long cmds = ::syscall(__NR_membarrier, MEMBARRIER_CMD_QUERY, 0, 0);
