@@ -103,43 +103,22 @@ Command command(Command::Type type, BlockId block = kInvalidBlock,
   return cmd;
 }
 
-// Wrap one payload in a Message and send it.
-template <typename Payload>
-void post(RankContext& ctx, int to, Payload payload) {
-  Message m;
-  m.payload = std::move(payload);
-  ctx.send(to, std::move(m));
-}
-
-// The failover successor: the lowest live original master, or — when every
-// master is dead — the lowest live slave rank, which promotes itself.
-// Every rank computes this from the layout and the runtime's liveness view,
-// so the role migrates without any election traffic.  The successor is
-// also the acting termination counter.
-int successor_rank(const RankContext& ctx, const HybridLayout& layout) {
-  for (int m = 0; m < layout.num_masters; ++m) {
-    if (ctx.is_alive(m)) return m;
-  }
-  for (int r = layout.num_masters; r < layout.num_ranks; ++r) {
-    if (ctx.is_alive(r)) return r;
-  }
-  return 0;
-}
-
 // The unique live rank responsible for absorbing a dead coordinator — and
 // hence where its orphaned slaves re-home: its parent root when the tree
-// is on and the parent survives, else the global successor (which may be
-// the orphan itself, promoting).  Uniqueness keeps ledger recovery
-// single-fire on the primary path (duplicate adoption stays safe —
-// recovered credits max-merge and re-run terminations dedup — but never
-// happens fault-free under this rule).
+// is on and the parent survives, else the global successor: the lowest
+// live rank, which is a slave only once every master is dead (possibly
+// the orphan itself, promoting), and is also the acting termination
+// counter.  Uniqueness keeps ledger recovery single-fire on the primary
+// path (duplicate adoption stays safe — recovered credits max-merge and
+// re-run terminations dedup — but never happens fault-free under this
+// rule).
 int adopter_of(const RankContext& ctx, const HybridLayout& layout, int dead) {
   if (layout.num_roots > 0 && dead >= layout.num_roots &&
       dead < layout.num_masters) {
     const int parent = layout.root_of(dead);
     if (ctx.is_alive(parent)) return parent;
   }
-  return successor_rank(ctx, layout);
+  return lowest_live_rank(ctx);
 }
 
 // The fault plane's heartbeat period; 0 on a fault-free run, which arms
@@ -189,7 +168,7 @@ class MasterCore {
     for (int s = first; s < last; ++s) records_[s] = SlaveRecord{};
     for (Particle& p : seeds) pool_seed(ctx, std::move(p));
 
-    if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
+    if (total_active_ == 0 && lowest_live_rank(ctx) == self_) {
       finish_everyone(ctx);
       return;
     }
@@ -250,7 +229,7 @@ class MasterCore {
     // their own group's dead-slave recovery).  Under the tree, a dead
     // leaf master with a live parent is that parent's duty, not ours —
     // exactly one live rank claims any dead coordinator.
-    if (successor_rank(ctx, layout_) == self_) {
+    if (lowest_live_rank(ctx) == self_) {
       for (int m = 0; m < layout_.num_masters; ++m) {
         if (m == self_ || ctx.is_alive(m)) continue;
         if (adopter_of(ctx, layout_, m) != self_) continue;
@@ -300,7 +279,7 @@ class MasterCore {
     }
     auto it = records_.find(from);
     if (it == records_.end()) return;
-    last_heard_[from] = ctx.now();
+    if (heartbeat_period(ctx) > 0.0) last_heard_[from] = ctx.now();
     apply_status(from, it->second, status);
     update_progress(ctx, from, status.progress);
     merge_total(from, status.terminated_total);
@@ -1054,7 +1033,7 @@ class MasterCore {
       const int parent = layout_.root_of(self_);
       if (ctx.is_alive(parent)) return parent;
     }
-    return successor_rank(ctx, layout_);
+    return lowest_live_rank(ctx);
   }
 
   // Push the per-rank high-water board one tier up (or, when we are the
@@ -1266,7 +1245,7 @@ class HybridRank final : public RankProgram {
     // view makes this safe (successor == self implies every master is
     // already dead).
     if (!core_ && ctx.fault_plane() != nullptr && !finished_ &&
-        successor_rank(ctx, layout_) == rank_) {
+        lowest_live_rank(ctx) == rank_) {
       promote(ctx);
     }
     // A finished layout master still hands the core late re-homes (it
@@ -1299,21 +1278,9 @@ class HybridRank final : public RankProgram {
     steps_total_ += in_flight_steps_;
     in_flight_steps_ = 0;
     busy_total_ += ctx.now() - burst_start_;
-    std::vector<Particle> batch = std::move(in_flight_);
-    in_flight_.clear();
-    std::vector<AdvanceOutcome> outcomes = std::move(flights_);
-    flights_.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Particle& p = batch[i];
-      if (is_terminal(outcomes[i].status)) {
-        // Only first-time terminations count toward the global total; a
-        // re-run duplicate (recovery overlap) must not double-count.
-        if (ctx.log_termination(p)) ++terminated_total_;
-        done_.push_back(std::move(p));
-      } else {
-        pool_.add(outcomes[i].blocking_block, std::move(p));
-      }
-    }
+    terminated_total_ += work_.settle(ctx, [this](Particle p, BlockId need) {
+      work_.pool().add(need, std::move(p));
+    });
     reported_ = false;
     if (core_) {
       core_->on_termination_count(ctx, {{rank_, terminated_total_}});
@@ -1326,12 +1293,11 @@ class HybridRank final : public RankProgram {
   bool finished() const override { return finished_; }
 
   void collect_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), done_.begin(), done_.end());
+    work_.collect(out);
   }
 
   void snapshot_particles(std::vector<Particle>& out) const override {
-    pool_.append_all(out);
-    out.insert(out.end(), in_flight_.begin(), in_flight_.end());
+    work_.snapshot(out);
     out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
     if (core_) core_->snapshot_seeds(out);
   }
@@ -1359,7 +1325,7 @@ class HybridRank final : public RankProgram {
         break;
       case Command::Type::kSendForce: {
         // Mandatory migration of our particles in `block` to `target`.
-        std::vector<Particle> moving = pool_.drain_block(cmd.block);
+        std::vector<Particle> moving = work_.pool().drain_block(cmd.block);
         ship_particles(ctx, cmd.target, cmd.block, std::move(moving));
         reported_ = false;
         try_start(ctx);
@@ -1370,7 +1336,7 @@ class HybridRank final : public RankProgram {
         // If none are appropriate, ignore the hint (the autonomy rule).
         for (const BlockId b : cmd.hint_blocks) {
           if (ctx.block_resident(b) || ctx.block_pending(b)) continue;
-          std::vector<Particle> moving = pool_.drain_block(b);
+          std::vector<Particle> moving = work_.pool().drain_block(b);
           if (!moving.empty()) {
             ship_particles(ctx, cmd.target, b, std::move(moving));
             reported_ = false;
@@ -1432,7 +1398,7 @@ class HybridRank final : public RankProgram {
 
   std::uint32_t workable(RankContext& ctx) const {
     std::uint32_t n = 0;
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : work_.pool().census()) {
       if (ctx.block_resident(block)) n += count;
     }
     return n;
@@ -1440,9 +1406,7 @@ class HybridRank final : public RankProgram {
 
   void accept_particles(RankContext& ctx, std::vector<Particle> particles) {
     for (Particle& p : particles) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(decomp_->block_of(p.pos), std::move(p));
+      work_.admit(ctx, decomp_->block_of(p.pos), std::move(p));
     }
     reported_ = false;
   }
@@ -1450,11 +1414,7 @@ class HybridRank final : public RankProgram {
   void ship_particles(RankContext& ctx, int target, BlockId block,
                       std::vector<Particle> particles) {
     if (particles.empty()) return;
-    std::size_t bytes = 0;
-    for (const Particle& p : particles) {
-      bytes += resident_particle_bytes(p, ctx.model());
-    }
-    ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
+    work_.release(ctx, particles);
     post(ctx, target, ParticleBatch{block, std::move(particles)});
   }
 
@@ -1491,11 +1451,11 @@ class HybridRank final : public RankProgram {
   void send_status(RankContext& ctx, std::uint32_t workable_now,
                    int orphaned_from = -1) {
     StatusUpdate s;
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : work_.pool().census()) {
       s.queued_by_block.emplace_back(block, count);
     }
     s.loaded = ctx.resident_blocks();
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : work_.pool().census()) {
       if (ctx.block_pending(block)) s.loading.push_back(block);
     }
     s.workable = workable_now;
@@ -1511,9 +1471,9 @@ class HybridRank final : public RankProgram {
   }
 
   void try_start(RankContext& ctx) {
-    if (finished_ || ctx.busy() || !in_flight_.empty()) return;
+    if (finished_ || ctx.busy() || work_.in_flight()) return;
 
-    const BlockId runnable = pool_.first_block_where(
+    const BlockId runnable = work_.pool().first_block_where(
         [&ctx](BlockId id) { return ctx.block_resident(id); });
     if (runnable != kInvalidBlock) {
       // Latency hiding (§4.3): report *before* a burst that will drain
@@ -1521,29 +1481,19 @@ class HybridRank final : public RankProgram {
       // The burst takes runnable's whole queue, so that is the case when
       // nothing else is workable.
       const auto draining =
-          static_cast<std::uint32_t>(pool_.count_in(runnable));
+          static_cast<std::uint32_t>(work_.pool().count_in(runnable));
       if (!core_ && !reported_ && workable(ctx) == draining) {
         send_status(ctx, 0);
       }
-      // Advance the whole block queue in one burst (§9 batching).
-      in_flight_ = pool_.drain_block(runnable);
-      // A slave's useful horizon is one Load round: a deep speculative
-      // pipeline claims blocks the master never schedules here and
-      // perturbs its Load/Send decisions more than it hides latency,
-      // so the slave pipeline stays shallow regardless of the
-      // configured depth.
-      const int lookahead = std::min(4, ctx.prefetch_capacity());
-      BatchAdvanceResult r = advance_block_and_charge(ctx, in_flight_);
-      flights_ = std::move(r.outcomes);
+      work_.drain(runnable);
       // Folded into steps_total_ when the burst completes; a heartbeat
       // status mid-burst reports the burst's steps pro-rated by elapsed
       // planned time (see watermark()), so the master sees progress as a
       // smooth rate rather than burst-sized quanta.
-      in_flight_steps_ = r.total_steps;
+      in_flight_steps_ = work_.advance(ctx);
       burst_start_ = ctx.now();
-      burst_duration_ = static_cast<double>(r.total_steps) *
+      burst_duration_ = static_cast<double>(in_flight_steps_) *
                         ctx.model().seconds_per_step;
-      ctx.begin_compute(burst_duration_, r.total_steps);
       // Overlap: background-read where this burst is headed (its
       // outcomes name the blocks exactly), then the densest blocked
       // queues, so the master's next kLoad (or our own wait for it)
@@ -1551,8 +1501,10 @@ class HybridRank final : public RankProgram {
       // non-blocking claim.  No streamline lookahead here: the master
       // schedules this rank's loads, so two-ahead speculation only
       // claims blocks it never sends us to.
-      prefetch_blocking_targets(ctx, flights_, runnable, lookahead);
-      prefetch_densest(ctx, pool_, runnable, lookahead);
+      const int lookahead =
+          std::min(kShallowPrefetchDepth, ctx.prefetch_capacity());
+      prefetch_blocking_targets(ctx, work_.outcomes(), runnable, lookahead);
+      prefetch_densest(ctx, work_.pool(), runnable, lookahead);
       return;
     }
 
@@ -1561,7 +1513,7 @@ class HybridRank final : public RankProgram {
     if (core_) {
       // Acting master: nobody commands our loads, so self-serve the
       // densest pooled block, Load-On-Demand style.
-      request_if_needed(ctx, pool_.densest_block());
+      request_if_needed(ctx, work_.pool().densest_block());
       return;
     }
 
@@ -1577,10 +1529,7 @@ class HybridRank final : public RankProgram {
   int coord_;                   // current coordinator (re-homed on failover)
   std::vector<Particle> initial_seeds_;  // a leaf master's pool until start
 
-  ParticlePool pool_;
-  std::vector<Particle> done_;
-  std::vector<Particle> in_flight_;      // the burst being computed
-  std::vector<AdvanceOutcome> flights_;  // outcome per in_flight_[i]
+  RankWork work_;
   std::uint32_t terminated_total_ = 0;   // cumulative first-time credits
   std::uint64_t steps_total_ = 0;      // completed-burst steps (§16)
   std::uint64_t in_flight_steps_ = 0;  // accepted steps of the burst
@@ -1602,20 +1551,6 @@ class HybridRank final : public RankProgram {
 // Factory
 // ---------------------------------------------------------------------------
 
-std::vector<std::vector<Particle>> partition_for_masters(
-    int num_masters, std::vector<Particle> particles) {
-  std::vector<std::vector<Particle>> out(
-      static_cast<std::size_t>(num_masters));
-  const std::size_t total = particles.size();
-  for (std::size_t m = 0; m < out.size(); ++m) {
-    const std::size_t first = total * m / out.size();
-    const std::size_t last = total * (m + 1) / out.size();
-    out[m].assign(std::make_move_iterator(particles.begin() + first),
-                  std::make_move_iterator(particles.begin() + last));
-  }
-  return out;
-}
-
 ProgramFactory make_hybrid(const BlockDecomposition* decomp,
                            std::vector<std::vector<Particle>> seeds_per_master,
                            std::uint32_t total_active, HybridParams params) {
@@ -1625,6 +1560,7 @@ ProgramFactory make_hybrid(const BlockDecomposition* decomp,
              int rank, int num_ranks) -> std::unique_ptr<RankProgram> {
     const HybridLayout layout = HybridLayout::make(
         num_ranks, params.slaves_per_master, params.root_fanout);
+    check_chunk_count(shared->size(), layout.num_leaves(), "make_hybrid");
     // Seeds are partitioned over the leaf masters (the masters that own
     // slave groups); roots start empty and only hold seeds transiently
     // while brokering, and slaves get theirs from a master.

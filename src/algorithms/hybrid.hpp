@@ -109,8 +109,4 @@ ProgramFactory make_hybrid(const BlockDecomposition* decomp,
                            std::vector<std::vector<Particle>> seeds_per_master,
                            std::uint32_t total_active, HybridParams params);
 
-// Deal particles into `num_masters` equal chunks (initial seed split).
-std::vector<std::vector<Particle>> partition_for_masters(
-    int num_masters, std::vector<Particle> particles);
-
 }  // namespace sf

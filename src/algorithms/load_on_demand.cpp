@@ -16,9 +16,7 @@ class LoadOnDemandProgram final : public RankProgram {
 
   void start(RankContext& ctx) override {
     for (Particle& p : initial_) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(decomp_->block_of(p.pos), std::move(p));
+      work_.admit(ctx, decomp_->block_of(p.pos), std::move(p));
     }
     initial_.clear();
     try_start(ctx);
@@ -44,11 +42,9 @@ class LoadOnDemandProgram final : public RankProgram {
     }
     if (adopted == nullptr) return;
     for (Particle& p : *adopted) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(decomp_->block_of(p.pos), std::move(p));
+      work_.admit(ctx, decomp_->block_of(p.pos), std::move(p));
     }
-    if (!pool_.empty()) finished_ = false;  // adopted work re-opens us
+    if (!work_.pool().empty()) finished_ = false;  // adopted work re-opens us
     try_start(ctx);
   }
 
@@ -58,93 +54,75 @@ class LoadOnDemandProgram final : public RankProgram {
   }
 
   void on_compute_done(RankContext& ctx) override {
-    std::vector<Particle> batch = std::move(in_flight_);
-    in_flight_.clear();
-    std::vector<AdvanceOutcome> outcomes = std::move(flights_);
-    flights_.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Particle& p = batch[i];
-      if (is_terminal(outcomes[i].status)) {
-        ctx.log_termination(p);
-        done_.push_back(std::move(p));
-      } else {
-        pool_.add(outcomes[i].blocking_block, std::move(p));
-      }
-    }
+    work_.settle(ctx, [this](Particle p, BlockId need) {
+      work_.pool().add(need, std::move(p));
+    });
     try_start(ctx);
   }
 
   bool finished() const override { return finished_; }
 
   void collect_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), done_.begin(), done_.end());
+    work_.collect(out);
   }
 
   void snapshot_particles(std::vector<Particle>& out) const override {
     out.insert(out.end(), initial_.begin(), initial_.end());
-    pool_.append_all(out);
-    out.insert(out.end(), in_flight_.begin(), in_flight_.end());
+    work_.snapshot(out);
   }
 
  private:
   void try_start(RankContext& ctx) {
-    if (finished_ || ctx.busy() || !in_flight_.empty()) return;
+    if (finished_ || ctx.busy() || work_.in_flight()) return;
 
-    if (pool_.empty()) {
+    const ParticlePool& pool = work_.pool();
+    if (pool.empty()) {
       // All of this rank's streamlines have terminated; it is done,
       // independently of everyone else (§4.2).
       finished_ = true;
       return;
     }
 
-    const BlockId runnable = pool_.first_block_where(
+    const BlockId runnable = pool.first_block_where(
         [&ctx](BlockId id) { return ctx.block_resident(id); });
     if (runnable != kInvalidBlock) {
-      // Advance the whole block queue in one burst (§9 batching).
-      in_flight_ = pool_.drain_block(runnable);
+      const std::span<Particle> burst = work_.drain(runnable);
       const int lookahead = ctx.prefetch_capacity();
       std::vector<Vec3> starts;
       if (lookahead > 0) {
-        starts.reserve(in_flight_.size());
-        for (const Particle& p : in_flight_) starts.push_back(p.pos);
+        starts.reserve(burst.size());
+        for (const Particle& p : burst) starts.push_back(p.pos);
       }
-      BatchAdvanceResult r = advance_block_and_charge(ctx, in_flight_);
-      flights_ = std::move(r.outcomes);
-      ctx.begin_compute(static_cast<double>(r.total_steps) *
-                            ctx.model().seconds_per_step,
-                        r.total_steps);
+      work_.advance(ctx);
       // Overlap: while this burst integrates, background-read the blocks
       // it is about to stop for (the outcomes name them exactly), then
       // the blocks those streamlines point at one block further on —
       // a short burst gives the one-ahead read no time to finish, the
       // two-ahead hint absorbs that — then fill any leftover depth with
       // the pooled runners-up.
-      prefetch_blocking_targets(ctx, flights_, runnable, lookahead);
-      prefetch_streamline_lookahead(ctx, *decomp_, in_flight_, starts,
-                                    flights_, runnable, lookahead);
-      prefetch_densest(ctx, pool_, runnable, lookahead);
+      prefetch_blocking_targets(ctx, work_.outcomes(), runnable, lookahead);
+      prefetch_streamline_lookahead(ctx, *decomp_, burst, starts,
+                                    work_.outcomes(), runnable, lookahead);
+      prefetch_densest(ctx, pool, runnable, lookahead);
       return;
     }
 
     // No in-memory work left: only now read one block from disk — the one
     // that unblocks the most streamlines.
     if (loads_outstanding_ == 0) {
-      const BlockId next = pool_.densest_block();
+      const BlockId next = pool.densest_block();
       if (next != kInvalidBlock && !ctx.block_pending(next)) {
         ++loads_outstanding_;
         ctx.request_block(next);
         // Overlap the demand read with hints for the runners-up.
-        prefetch_densest(ctx, pool_, next, ctx.prefetch_capacity());
+        prefetch_densest(ctx, pool, next, ctx.prefetch_capacity());
       }
     }
   }
 
   const BlockDecomposition* decomp_;
   std::vector<Particle> initial_;
-  ParticlePool pool_;
-  std::vector<Particle> done_;
-  std::vector<Particle> in_flight_;      // the burst being computed
-  std::vector<AdvanceOutcome> flights_;  // outcome per in_flight_[i]
+  RankWork work_;
   int loads_outstanding_ = 0;
   bool finished_ = false;
 };
@@ -176,7 +154,8 @@ ProgramFactory make_load_on_demand(
   auto shared = std::make_shared<std::vector<std::vector<Particle>>>(
       std::move(initial));
   return [decomp, shared](int rank,
-                          int /*num_ranks*/) -> std::unique_ptr<RankProgram> {
+                          int num_ranks) -> std::unique_ptr<RankProgram> {
+    check_chunk_count(shared->size(), num_ranks, "make_load_on_demand");
     return std::make_unique<LoadOnDemandProgram>(
         decomp, std::move((*shared)[static_cast<std::size_t>(rank)]));
   };

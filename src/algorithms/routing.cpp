@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace sf {
 
@@ -202,30 +203,75 @@ int live_owner(const RankContext& ctx, int num_blocks, BlockId block) {
   return ctx.is_alive(owner) ? owner : next_live_rank(ctx, owner);
 }
 
-BatchAdvanceResult advance_block_and_charge(RankContext& ctx,
-                                            std::span<Particle> batch) {
-  std::int64_t points_before = 0;
-  for (const Particle& p : batch) points_before += p.geometry_points;
+int lowest_live_rank(const RankContext& ctx) {
+  for (int r = 0; r < ctx.num_ranks(); ++r) {
+    if (ctx.is_alive(r)) return r;
+  }
+  return 0;
+}
 
-  BatchAdvanceResult r;
+void check_chunk_count(std::size_t chunks, int expected, const char* factory) {
+  if (chunks != static_cast<std::size_t>(expected)) {
+    throw std::invalid_argument(std::string(factory) + ": " +
+                                std::to_string(chunks) +
+                                " seed chunks, expected " +
+                                std::to_string(expected));
+  }
+}
+
+void RankWork::admit(RankContext& ctx, BlockId block, Particle p) {
+  ctx.charge_particle_memory(
+      static_cast<std::int64_t>(resident_particle_bytes(p, ctx.model())));
+  pool_.add(block, std::move(p));
+}
+
+void RankWork::release(RankContext& ctx, std::span<const Particle> leaving) {
+  std::size_t bytes = 0;
+  for (const Particle& p : leaving) {
+    bytes += resident_particle_bytes(p, ctx.model());
+  }
+  ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
+}
+
+std::span<Particle> RankWork::drain(BlockId b) {
+  burst_ = pool_.drain_block(b);
+  return burst_;
+}
+
+std::uint64_t RankWork::advance(RankContext& ctx) {
+  std::int64_t points_before = 0;
+  for (const Particle& p : burst_) points_before += p.geometry_points;
+
   // The focus block of each batch round is pinned in the rank's cache so
   // async load completions landing between rounds can't evict it from
   // under the tracer's cursor (no-ops on contexts without a cache).
   const BlockPinHooks pins{
       [&ctx](BlockId id) { ctx.pin_block(id); },
       [&ctx](BlockId id) { ctx.unpin_block(id); }};
-  r.outcomes = ctx.tracer().advance_batch(
-      batch, [&ctx](BlockId id) { return ctx.block(id); }, nullptr, &pins);
+  outcomes_ = ctx.tracer().advance_batch(
+      burst_, [&ctx](BlockId id) { return ctx.block(id); }, nullptr, &pins);
 
   std::int64_t points_after = 0;
-  for (const Particle& p : batch) points_after += p.geometry_points;
+  for (const Particle& p : burst_) points_after += p.geometry_points;
   const std::int64_t grown = points_after - points_before;
   if (grown != 0) {
     ctx.charge_particle_memory(grown *
                                static_cast<std::int64_t>(sizeof(Vec3)));
   }
-  for (const AdvanceOutcome& o : r.outcomes) r.total_steps += o.steps;
-  return r;
+  std::uint64_t steps = 0;
+  for (const AdvanceOutcome& o : outcomes_) steps += o.steps;
+  ctx.begin_compute(static_cast<double>(steps) * ctx.model().seconds_per_step,
+                    steps);
+  return steps;
+}
+
+void RankWork::collect(std::vector<Particle>& out) const {
+  out.insert(out.end(), done_.begin(), done_.end());
+}
+
+void RankWork::snapshot(std::vector<Particle>& out) const {
+  pool_.append_all(out);
+  out.insert(out.end(), burst_.begin(), burst_.end());
 }
 
 }  // namespace sf

@@ -1,7 +1,8 @@
 #pragma once
 
 // Shared helpers for the three parallelization strategies: contiguous
-// block ownership, per-block particle pools, and resident-particle memory
+// block ownership, per-block particle pools, the rank worker that runs
+// and settles their compute bursts, and resident-particle memory
 // accounting.
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/block_decomposition.hpp"
@@ -79,17 +81,79 @@ std::vector<Particle> make_particles(const BlockDecomposition& decomp,
                                      std::span<const Vec3> seeds,
                                      std::vector<Particle>& rejected);
 
-// Advance every particle of one block's pool queue against the rank's
-// cache in a single burst through Tracer::advance_batch (shared
-// block/cell cursor), charging the summed geometry growth.  outcome[i]
-// matches batch[i]; total_steps sums the accepted steps for
-// ctx.begin_compute.
-struct BatchAdvanceResult {
-  std::vector<AdvanceOutcome> outcomes;
-  std::uint64_t total_steps = 0;
+// The rank-side work every algorithm shares: the rank's pool of waiting
+// streamlines, the burst being computed with its advance outcomes, and
+// the lines that terminated here.  The one place a particle is charged
+// as resident or refunded, a burst is started and charged, and a
+// finished burst is settled.
+class RankWork {
+ public:
+  // Pool a particle arriving on this rank under `block`, charging it as
+  // resident.
+  void admit(RankContext& ctx, BlockId block, Particle p);
+  // Refund the residency of particles leaving this rank.
+  void release(RankContext& ctx, std::span<const Particle> leaving);
+
+  ParticlePool& pool() { return pool_; }
+  const ParticlePool& pool() const { return pool_; }
+  // True from drain() until settle().
+  bool in_flight() const { return !burst_.empty(); }
+
+  // Start a burst with block `b`'s whole queue (§9 batching).  The span
+  // stays valid until settle().
+  std::span<Particle> drain(BlockId b);
+  // Advance the drained burst in one Tracer::advance_batch (shared
+  // block/cell cursor, each round's focus block pinned), charge its
+  // geometry growth and begin its modelled compute.  Returns the
+  // accepted steps.
+  std::uint64_t advance(RankContext& ctx);
+  // outcomes()[i] matches the burst's particle i, from advance() on.
+  std::span<const AdvanceOutcome> outcomes() const { return outcomes_; }
+
+  // Settle the finished burst: log and keep each terminated line, and
+  // hand each still-active one to blocked(particle, block it needs).
+  // Returns the first-time terminations (a recovery re-run's duplicate
+  // must not count toward a global total twice).
+  template <typename Blocked>
+  std::uint32_t settle(RankContext& ctx, Blocked&& blocked) {
+    std::vector<Particle> burst = std::exchange(burst_, {});
+    std::vector<AdvanceOutcome> outcomes = std::exchange(outcomes_, {});
+    std::uint32_t first = 0;
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      if (is_terminal(outcomes[i].status)) {
+        if (ctx.log_termination(burst[i])) ++first;
+        done_.push_back(std::move(burst[i]));
+      } else {
+        blocked(std::move(burst[i]), outcomes[i].blocking_block);
+      }
+    }
+    return first;
+  }
+
+  // Append the terminated lines (result gathering).
+  void collect(std::vector<Particle>& out) const;
+  // Append the pooled lines, then the burst (checkpoint snapshots).
+  void snapshot(std::vector<Particle>& out) const;
+
+ private:
+  ParticlePool pool_;
+  std::vector<Particle> burst_;
+  std::vector<AdvanceOutcome> outcomes_;
+  std::vector<Particle> done_;
 };
-BatchAdvanceResult advance_block_and_charge(RankContext& ctx,
-                                            std::span<Particle> batch);
+
+// A program factory's seed split must hold one chunk per rank (per leaf
+// master for the hybrid); throws std::invalid_argument naming `factory`
+// unless it holds exactly `expected`.
+void check_chunk_count(std::size_t chunks, int expected, const char* factory);
+
+// Prefetch depth of the ranks whose useful horizon is short, whatever the
+// configured depth: a Static owner only reads its own contiguous range,
+// where a deep speculative pipeline just churns staging; a hybrid slave
+// looks one Load round ahead, and a deep pipeline there claims blocks the
+// master never schedules on it and perturbs its Load/Send decisions more
+// than it hides latency.
+inline constexpr int kShallowPrefetchDepth = 4;
 
 // Prefetch predictor shared by the three algorithms (DESIGN.md §10):
 // hint the runtime at the pooled blocks most likely to be demanded next
@@ -127,6 +191,20 @@ void prefetch_streamline_lookahead(RankContext& ctx,
                                    std::span<const Vec3> start_positions,
                                    std::span<const AdvanceOutcome> outcomes,
                                    BlockId exclude, int max_hints);
+
+// Wrap one payload in a Message and send it.
+template <typename Payload>
+void post(RankContext& ctx, int to, Payload payload) {
+  Message m;
+  m.payload = std::move(payload);
+  ctx.send(to, std::move(m));
+}
+
+// The lowest live rank (0 if none is).  Every rank computes it from the
+// runtime's liveness view, so a role pinned to it — Static's termination
+// counter, the hybrid's failover successor — migrates on a death without
+// any election traffic.
+int lowest_live_rank(const RankContext& ctx);
 
 // First alive rank after `after` in cyclic order (never `after` itself
 // unless it is the only live rank).  Requires at least one alive rank.

@@ -10,22 +10,19 @@ namespace {
 
 class StaticProgram final : public RankProgram {
  public:
-  StaticProgram(const BlockDecomposition* decomp, int rank, int num_ranks,
+  StaticProgram(const BlockDecomposition* decomp, int rank,
                 std::vector<Particle> initial, std::uint32_t total_active)
       : decomp_(decomp),
         rank_(rank),
-        num_ranks_(num_ranks),
         initial_(std::move(initial)),
         total_active_(total_active) {}
 
   void start(RankContext& ctx) override {
     for (Particle& p : initial_) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(decomp_->block_of(p.pos), std::move(p));
+      work_.admit(ctx, decomp_->block_of(p.pos), std::move(p));
     }
     initial_.clear();
-    if (total_active_ == 0 && rank_ == counter_rank(ctx)) {
+    if (total_active_ == 0 && rank_ == lowest_live_rank(ctx)) {
       broadcast_done(ctx);
       return;
     }
@@ -65,46 +62,28 @@ class StaticProgram final : public RankProgram {
   void on_block_loaded(RankContext& ctx, BlockId) override { try_start(ctx); }
 
   void on_compute_done(RankContext& ctx) override {
-    std::vector<Particle> batch = std::move(in_flight_);
-    in_flight_.clear();
-    std::vector<AdvanceOutcome> outcomes = std::move(flights_);
-    flights_.clear();
-
     // Group hand-offs by (owner, block) so one burst produces one
     // ParticleBatch per destination instead of one per streamline.
     std::map<std::pair<int, BlockId>, std::vector<Particle>> forwards;
-    std::uint32_t new_terminations = 0;
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Particle& p = batch[i];
-      if (is_terminal(outcomes[i].status)) {
-        // First-time terminations only: a recovery re-run's duplicate
-        // must not decrement the global count twice.
-        if (ctx.log_termination(p)) ++new_terminations;
-        done_.push_back(std::move(p));
-        continue;
-      }
-      const BlockId need = outcomes[i].blocking_block;
-      // The static block->rank map, redirected past dead ranks: a dead
-      // owner's blocks fall to the next live rank in cyclic order.
-      const int owner = live_owner(ctx, decomp_->num_blocks(), need);
-      if (owner == rank_) {
-        pool_.add(need, std::move(p));
-        if (!ctx.block_resident(need) && !ctx.block_pending(need)) {
-          ctx.request_block(need);
-        }
-      } else {
-        // Communicate the streamline to the block's owner (§4.1).
-        ctx.charge_particle_memory(-static_cast<std::int64_t>(
-            resident_particle_bytes(p, ctx.model())));
-        forwards[{owner, need}].push_back(std::move(p));
-      }
-    }
-
+    const std::uint32_t new_terminations =
+        work_.settle(ctx, [&](Particle p, BlockId need) {
+          // The static block->rank map, redirected past dead ranks: a
+          // dead owner's blocks fall to the next live rank in cyclic
+          // order.
+          const int owner = live_owner(ctx, decomp_->num_blocks(), need);
+          if (owner == rank_) {
+            work_.pool().add(need, std::move(p));
+            if (!ctx.block_resident(need) && !ctx.block_pending(need)) {
+              ctx.request_block(need);
+            }
+          } else {
+            // Communicate the streamline to the block's owner (§4.1).
+            work_.release(ctx, {&p, 1});
+            forwards[{owner, need}].push_back(std::move(p));
+          }
+        });
     for (auto& [dest, particles] : forwards) {
-      Message m;
-      m.payload = ParticleBatch{dest.second, std::move(particles)};
-      ctx.send(dest.first, std::move(m));
+      post(ctx, dest.first, ParticleBatch{dest.second, std::move(particles)});
     }
     if (new_terminations > 0) note_terminations(ctx, new_terminations);
     try_start(ctx);
@@ -113,13 +92,12 @@ class StaticProgram final : public RankProgram {
   bool finished() const override { return finished_; }
 
   void collect_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), done_.begin(), done_.end());
+    work_.collect(out);
   }
 
   void snapshot_particles(std::vector<Particle>& out) const override {
     out.insert(out.end(), initial_.begin(), initial_.end());
-    pool_.append_all(out);
-    out.insert(out.end(), in_flight_.begin(), in_flight_.end());
+    work_.snapshot(out);
   }
 
  private:
@@ -130,64 +108,46 @@ class StaticProgram final : public RankProgram {
     const BlockId b = decomp_->block_of(p.pos);
     const int owner = live_owner(ctx, decomp_->num_blocks(), b);
     if (owner == rank_) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(b, std::move(p));
+      work_.admit(ctx, b, std::move(p));
     } else {
-      Message m;
-      m.payload = ParticleBatch{b, {std::move(p)}};
-      ctx.send(owner, std::move(m));
+      post(ctx, owner, ParticleBatch{b, {std::move(p)}});
     }
   }
 
   void try_start(RankContext& ctx) {
-    if (finished_ || ctx.busy() || !in_flight_.empty()) return;
+    if (finished_ || ctx.busy() || work_.in_flight()) return;
 
-    const BlockId runnable = pool_.first_block_where(
+    const BlockId runnable = work_.pool().first_block_where(
         [&ctx](BlockId id) { return ctx.block_resident(id); });
     if (runnable != kInvalidBlock) {
-      // Advance the whole block queue in one burst (§9 batching).
-      in_flight_ = pool_.drain_block(runnable);
-      BatchAdvanceResult r = advance_block_and_charge(ctx, in_flight_);
-      flights_ = std::move(r.outcomes);
-      ctx.begin_compute(static_cast<double>(r.total_steps) *
-                            ctx.model().seconds_per_step,
-                        r.total_steps);
+      work_.drain(runnable);
+      work_.advance(ctx);
       // Overlap: hand-offs that arrived during earlier bursts pooled
       // under not-yet-resident owned blocks; read them in the background
-      // while this burst integrates.  Shallow regardless of the
-      // configured depth — this rank only ever reads its own contiguous
-      // range, so a deep speculative pipeline just churns staging.
-      prefetch_densest(ctx, pool_, runnable,
-                       std::min(4, ctx.prefetch_capacity()));
+      // while this burst integrates.
+      prefetch_densest(ctx, work_.pool(), runnable,
+                       std::min(kShallowPrefetchDepth,
+                                ctx.prefetch_capacity()));
       return;
     }
 
     // Nothing runnable: fetch every pooled block that has waiting work
     // (owned blocks by construction, plus any adopted from a dead rank).
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : work_.pool().census()) {
       if (!ctx.block_resident(block) && !ctx.block_pending(block)) {
         ctx.request_block(block);
       }
     }
   }
 
-  // The acting termination counter is the lowest live rank.  Every rank
-  // computes it the same way, so when rank 0 dies the counter role (and
-  // every subsequent report) migrates to the next survivor without an
-  // election; the runtime seeds the successor's board with a full ledger
-  // recount so reports already absorbed by the dead counter are not lost.
-  int counter_rank(RankContext& ctx) const {
-    for (int r = 0; r < num_ranks_; ++r) {
-      if (ctx.is_alive(r)) return r;
-    }
-    return 0;
-  }
-
   void note_terminations(RankContext& ctx, std::uint32_t n) {
     my_total_ += n;
     if (board_[rank_] < my_total_) board_[rank_] = my_total_;
-    const int counter = counter_rank(ctx);
+    // The acting counter is the lowest live rank: when rank 0 dies the
+    // role (and every later report) migrates to the next survivor, whose
+    // board the runtime seeds with a full ledger recount so reports the
+    // dead counter already absorbed are not lost.
+    const int counter = lowest_live_rank(ctx);
     if (counter == rank_) {
       maybe_finish(ctx);
       return;
@@ -195,9 +155,7 @@ class StaticProgram final : public RankProgram {
     // Report the cumulative total, not a delta: max-merge on the counter
     // makes duplicated or re-ordered reports (at-least-once control
     // delivery, post-crash re-reports) harmless.
-    Message m;
-    m.payload = TerminationCount{{{rank_, my_total_}}};
-    ctx.send(counter, std::move(m));
+    post(ctx, counter, TerminationCount{{{rank_, my_total_}}});
   }
 
   // Max-merge per-rank cumulative totals into the board; when this rank
@@ -212,25 +170,22 @@ class StaticProgram final : public RankProgram {
   }
 
   void maybe_finish(RankContext& ctx) {
-    if (finished_ || rank_ != counter_rank(ctx)) return;
+    if (finished_ || rank_ != lowest_live_rank(ctx)) return;
     std::uint64_t done = 0;
     for (const auto& [r, total] : board_) done += total;
     if (done >= total_active_) broadcast_done(ctx);
   }
 
   void broadcast_done(RankContext& ctx) {
-    for (int r = 0; r < num_ranks_; ++r) {
+    for (int r = 0; r < ctx.num_ranks(); ++r) {
       if (r == rank_ || !ctx.is_alive(r)) continue;
-      Message m;
-      m.payload = DoneSignal{};
-      ctx.send(r, std::move(m));
+      post(ctx, r, DoneSignal{});
     }
     finished_ = true;
   }
 
   const BlockDecomposition* decomp_;
   int rank_;
-  int num_ranks_;
   std::vector<Particle> initial_;
   std::uint32_t total_active_;  // global streamline count (every rank)
   std::uint32_t my_total_ = 0;  // cumulative first-time terminations here
@@ -238,10 +193,7 @@ class StaticProgram final : public RankProgram {
   // counter, where global done = sum of the board.
   std::map<int, std::uint32_t> board_;
 
-  ParticlePool pool_;
-  std::vector<Particle> done_;
-  std::vector<Particle> in_flight_;          // the burst being computed
-  std::vector<AdvanceOutcome> flights_;      // outcome per in_flight_[i]
+  RankWork work_;
   bool finished_ = false;
 };
 
@@ -267,9 +219,10 @@ ProgramFactory make_static_allocation(
       std::move(initial));
   return [decomp, shared, total_active](
              int rank, int num_ranks) -> std::unique_ptr<RankProgram> {
+    check_chunk_count(shared->size(), num_ranks, "make_static_allocation");
     return std::make_unique<StaticProgram>(
-        decomp, rank, num_ranks,
-        std::move((*shared)[static_cast<std::size_t>(rank)]), total_active);
+        decomp, rank, std::move((*shared)[static_cast<std::size_t>(rank)]),
+        total_active);
   };
 }
 

@@ -657,12 +657,7 @@ void InvariantChecker::note_finish_broadcast(int from, int to, double now) {
 }
 
 int InvariantChecker::acting_counter() const {
-  const int nm =
-      config_.protocol == CheckedProtocol::kHybrid ? config_.num_masters : 0;
-  for (int r = 0; r < nm; ++r) {
-    if (!ranks_[static_cast<std::size_t>(r)].crashed) return r;
-  }
-  for (int r = nm; r < config_.num_ranks; ++r) {
+  for (int r = 0; r < config_.num_ranks; ++r) {
     if (!ranks_[static_cast<std::size_t>(r)].crashed) return r;
   }
   return 0;

@@ -271,8 +271,9 @@ class InvariantChecker {
   void check_protocol(int from, int to, const Message& msg, double now)
       SF_REQUIRES(mutex_);
   // The acting termination counter / failover successor under the current
-  // crash set: lowest live rank (static), lowest live master else lowest
-  // live slave (hybrid).  Mirrors the programs' successor_rank formula.
+  // crash set: the lowest live rank (the hybrid's masters hold the lowest
+  // ranks, so a slave only once every master is dead).  Mirrors the
+  // programs' lowest_live_rank.
   int acting_counter() const SF_REQUIRES(mutex_);
   void take_from_holder(int rank, const Particle& p, double now,
                         ViolationKind kind) SF_REQUIRES(mutex_);

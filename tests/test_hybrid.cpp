@@ -137,17 +137,6 @@ TEST(HybridLayout, TreeStaysFlatWhenRootsWouldStarveSlaves) {
   EXPECT_EQ(l.num_slaves(), 2);
 }
 
-TEST(PartitionForMasters, EqualChunks) {
-  std::vector<Particle> ps(10);
-  for (int i = 0; i < 10; ++i) ps[static_cast<std::size_t>(i)].id = i;
-  const auto parts = partition_for_masters(3, std::move(ps));
-  ASSERT_EQ(parts.size(), 3u);
-  // Balanced contiguous split of 10 over 3: 3 + 3 + 4.
-  EXPECT_EQ(parts[0].size(), 3u);
-  EXPECT_EQ(parts[1].size(), 3u);
-  EXPECT_EQ(parts[2].size(), 4u);
-}
-
 TEST(Hybrid, AllParticlesTerminate) {
   auto w = sf::testing::rotor_world(2);
   Rng rng(7);

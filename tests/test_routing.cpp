@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "algorithms/hybrid.hpp"
+#include "algorithms/load_on_demand.hpp"
+#include "algorithms/static_alloc.hpp"
 #include "core/analytic_fields.hpp"
+#include "test_support.hpp"
 
 namespace sf {
 namespace {
@@ -111,6 +117,101 @@ TEST(MakeParticles, SplitsValidAndRejected) {
   for (const Particle& p : valid) {
     EXPECT_EQ(p.status, ParticleStatus::kActive);
   }
+}
+
+// A RankWork on a FakeContext, which has nothing resident and counts
+// begin_compute calls.
+struct WorkBench {
+  sf::testing::TestWorld w = sf::testing::rotor_world(2);
+  Tracer tracer{&w.decomp(), IntegratorParams{}, TraceLimits{}};
+  sf::testing::FakeContext ctx{&w.decomp(), &tracer, 0, 1};
+  RankWork work;
+
+  // A particle at the centre of block `b`.
+  Particle at(BlockId b, std::uint32_t id) const {
+    Particle p = particle(id, id + 1);
+    p.pos = w.decomp().block_bounds(b).center();
+    return p;
+  }
+};
+
+TEST(RankWork, ReleasingEveryAdmittedParticleRefundsItsCharge) {
+  WorkBench bench;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    bench.work.admit(bench.ctx, 1 + i % 2, bench.at(1 + i % 2, i));
+  }
+  EXPECT_EQ(bench.work.pool().size(), 5u);
+  EXPECT_GT(bench.ctx.charged, 0);
+  for (const BlockId b : {1, 2}) {
+    bench.work.release(bench.ctx, bench.work.pool().drain_block(b));
+  }
+  EXPECT_EQ(bench.ctx.charged, 0);
+}
+
+TEST(RankWork, SettleKeepsTerminatedLinesAndHandsBackBlockedOnes) {
+  WorkBench bench;
+  Particle ended = bench.at(3, 7);
+  ended.status = ParticleStatus::kMaxSteps;
+  bench.work.admit(bench.ctx, 3, ended);
+  bench.work.admit(bench.ctx, 3, bench.at(3, 8));
+
+  EXPECT_EQ(bench.work.drain(3).size(), 2u);
+  EXPECT_TRUE(bench.work.in_flight());
+  EXPECT_TRUE(bench.work.pool().empty());
+  bench.work.advance(bench.ctx);
+  EXPECT_EQ(bench.ctx.computes, 1);
+
+  std::vector<std::pair<std::uint32_t, BlockId>> blocked;
+  const std::uint32_t first =
+      bench.work.settle(bench.ctx, [&](Particle p, BlockId need) {
+        blocked.emplace_back(p.id, need);
+      });
+  EXPECT_EQ(first, 1u);
+  EXPECT_FALSE(bench.work.in_flight());
+  // Nothing is resident, so the active line stops for its own block.
+  ASSERT_EQ(blocked.size(), 1u);
+  EXPECT_EQ(blocked[0].first, 8u);
+  EXPECT_EQ(blocked[0].second, 3);
+  std::vector<Particle> done;
+  bench.work.collect(done);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].id, 7u);
+  EXPECT_EQ(done[0].status, ParticleStatus::kMaxSteps);
+  EXPECT_EQ(bench.ctx.computes, 1);
+}
+
+// Each factory takes one seed chunk per rank (per leaf master for the
+// hybrid).  Too few would index past the split; too many would drop
+// seeds the termination count still waits for.
+TEST(ProgramFactories, StaticAllocationRejectsWrongChunkCount) {
+  const auto w = sf::testing::rotor_world(2);
+  EXPECT_THROW(make_static_allocation(&w.decomp(), {{}, {}}, 0)(3, 4),
+               std::invalid_argument);
+  EXPECT_THROW(make_static_allocation(&w.decomp(), {{}, {}, {}, {}, {}}, 0)(
+                   0, 4),
+               std::invalid_argument);
+  EXPECT_NE(make_static_allocation(&w.decomp(), {{}, {}, {}, {}}, 0)(3, 4),
+            nullptr);
+}
+
+TEST(ProgramFactories, LoadOnDemandRejectsWrongChunkCount) {
+  const auto w = sf::testing::rotor_world(2);
+  EXPECT_THROW(make_load_on_demand(&w.decomp(), {{}, {}})(3, 4),
+               std::invalid_argument);
+  EXPECT_THROW(make_load_on_demand(&w.decomp(), {{}, {}, {}, {}, {}})(0, 4),
+               std::invalid_argument);
+  EXPECT_NE(make_load_on_demand(&w.decomp(), {{}, {}, {}, {}})(3, 4),
+            nullptr);
+}
+
+TEST(ProgramFactories, HybridRejectsWrongChunkCount) {
+  const auto w = sf::testing::rotor_world(2);
+  // Six ranks at the default W = 32: one leaf master, rank 0.
+  EXPECT_THROW(make_hybrid(&w.decomp(), {}, 0, HybridParams{})(0, 6),
+               std::invalid_argument);
+  EXPECT_THROW(make_hybrid(&w.decomp(), {{}, {}}, 0, HybridParams{})(0, 6),
+               std::invalid_argument);
+  EXPECT_NE(make_hybrid(&w.decomp(), {{}}, 0, HybridParams{})(0, 6), nullptr);
 }
 
 }  // namespace

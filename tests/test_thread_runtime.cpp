@@ -55,7 +55,8 @@ std::vector<Particle> run_threads(Algorithm algo, int ranks,
       const HybridLayout layout = HybridLayout::make(ranks, 4);
       factory = make_hybrid(
           &w.decomp(),
-          partition_for_masters(layout.num_masters, std::move(particles)),
+          partition_evenly_by_block(layout.num_leaves(), w.decomp(),
+                                    std::move(particles)),
           total, hp);
       break;
     }
