@@ -183,7 +183,6 @@ class Tracer {
          const TraceLimits& limits)
       : decomp_(decomp), iparams_(iparams), limits_(limits) {}
 
-  const IntegratorParams& integrator_params() const { return iparams_; }
   const TraceLimits& limits() const { return limits_; }
 
   // Install (or remove, with nullptr) the cancelled-query set consulted

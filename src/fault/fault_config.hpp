@@ -185,6 +185,34 @@ struct FaultStats {
   std::uint64_t particles_speculated = 0;  // copies re-issued from the ledger
   std::uint64_t wasted_duplicate_steps = 0;  // loser-copy steps past the fork
   double straggler_detect_latency = 0.0;  // summed slowdown -> flag latency
+
+  // Add another run's counters and append its crash records (service
+  // accumulation).
+  void accumulate(const FaultStats& e) {
+    crashes_injected += e.crashes_injected;
+    oom_crashes += e.oom_crashes;
+    crashes_survived += e.crashes_survived;
+    disk_faults += e.disk_faults;
+    disk_stalls += e.disk_stalls;
+    messages_dropped += e.messages_dropped;
+    control_retransmits += e.control_retransmits;
+    control_duplicates += e.control_duplicates;
+    particles_recovered += e.particles_recovered;
+    steps_redone += e.steps_redone;
+    time_to_recovery += e.time_to_recovery;
+    checkpoints_taken += e.checkpoints_taken;
+    checkpoint_overhead += e.checkpoint_overhead;
+    crash_records.insert(crash_records.end(), e.crash_records.begin(),
+                         e.crash_records.end());
+    slowdowns_injected += e.slowdowns_injected;
+    disk_slow_events += e.disk_slow_events;
+    corruptions_injected += e.corruptions_injected;
+    corruptions_detected += e.corruptions_detected;
+    stragglers_flagged += e.stragglers_flagged;
+    particles_speculated += e.particles_speculated;
+    wasted_duplicate_steps += e.wasted_duplicate_steps;
+    straggler_detect_latency += e.straggler_detect_latency;
+  }
 };
 
 }  // namespace sf

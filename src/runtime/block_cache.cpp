@@ -145,11 +145,4 @@ const std::vector<std::pair<BlockId, GridPtr>>& SharedBlockPool::blocks(
   return ranks_[static_cast<std::size_t>(rank)];
 }
 
-std::size_t SharedBlockPool::total_blocks() const {
-  serial_.assert_held();
-  std::size_t n = 0;
-  for (const auto& r : ranks_) n += r.size();
-  return n;
-}
-
 }  // namespace sf

@@ -167,8 +167,6 @@ class SharedBlockPool {
   // Captured blocks for `rank`, MRU first (empty if none captured).
   const std::vector<std::pair<BlockId, GridPtr>>& blocks(int rank) const;
 
-  std::size_t total_blocks() const;
-
  private:
   mutable ThreadChecker serial_;
   std::vector<std::vector<std::pair<BlockId, GridPtr>>> ranks_

@@ -84,26 +84,9 @@ void RunMetrics::accumulate(const RunMetrics& epoch) {
   query_completions.insert(query_completions.end(),
                            epoch.query_completions.begin(),
                            epoch.query_completions.end());
-  // Structured per-epoch state (crash timelines, checkpoints, timelines)
-  // does not sum meaningfully: keep the scalar fault counters additive
-  // and the latest epoch's pointers.
-  FaultStats& f = fault;
-  const FaultStats& e = epoch.fault;
-  f.crashes_injected += e.crashes_injected;
-  f.oom_crashes += e.oom_crashes;
-  f.crashes_survived += e.crashes_survived;
-  f.disk_faults += e.disk_faults;
-  f.disk_stalls += e.disk_stalls;
-  f.messages_dropped += e.messages_dropped;
-  f.control_retransmits += e.control_retransmits;
-  f.control_duplicates += e.control_duplicates;
-  f.particles_recovered += e.particles_recovered;
-  f.steps_redone += e.steps_redone;
-  f.time_to_recovery += e.time_to_recovery;
-  f.checkpoints_taken += e.checkpoints_taken;
-  f.checkpoint_overhead += e.checkpoint_overhead;
-  f.crash_records.insert(f.crash_records.end(), e.crash_records.begin(),
-                         e.crash_records.end());
+  // Checkpoints and timelines do not sum meaningfully: keep the fault
+  // counters additive and the latest epoch's pointers.
+  fault.accumulate(epoch.fault);
   if (epoch.last_checkpoint) last_checkpoint = epoch.last_checkpoint;
   if (epoch.timeline) timeline = epoch.timeline;
 }

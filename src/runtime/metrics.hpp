@@ -158,12 +158,12 @@ struct RunMetrics {
 
   // --- service accumulation (per-query vs. cumulative reporting) ---------
 
-  // Fold one epoch's metrics into this cumulative record: wall clocks and
-  // rank counters add, particle results and query completions append.
-  // Each epoch's counters start from zero (fresh runtime contexts), so
-  // cumulative = sum of epochs with no double-counting.  The latest
-  // epoch's fault stats, checkpoint and timeline pointers are kept;
-  // failure flags OR together.
+  // Fold one epoch's metrics into this cumulative record: wall clocks,
+  // rank and fault counters add, particle results, query completions and
+  // crash records append.  Each epoch's counters start from zero (fresh
+  // runtime contexts), so cumulative = sum of epochs with no
+  // double-counting.  The latest epoch's checkpoint and timeline
+  // pointers are kept; failure flags OR together.
   void accumulate(const RunMetrics& epoch);
 
   // Back to a default-constructed record (a service's counter reset).

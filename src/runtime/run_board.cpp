@@ -3,16 +3,52 @@
 #include <algorithm>
 #include <set>
 #include <utility>
+#include <variant>
 
 namespace sf {
 
-void RunBoard::begin(const CheckerConfig& config,
-                     const std::vector<Rank>& ranks,
+PlaneContext::PlaneContext(int rank, const RuntimeConfig& config,
+                           const BlockDecomposition& decomp,
+                           const Tracer& tracer, const BlockSource& source,
+                           const std::unique_ptr<InvariantChecker>& checker,
+                           std::function<double()> clock)
+    : rank_(rank),
+      config_(config),
+      decomp_(decomp),
+      tracer_(tracer),
+      checker_(checker),
+      plane_(rank, config.cache_blocks, config.async_io,
+             config.model.particle_memory_bytes, source, metrics, checker,
+             std::move(clock)) {}
+
+std::size_t PlaneContext::stamp_send([[maybe_unused]] int to, Message& msg) {
+  msg.from = rank_;
+  SF_INVARIANT_HOOK(checker_, on_send(rank_, to, msg, now()));
+  const std::size_t bytes = message_bytes(msg, config_.carry_geometry);
+  count_sent(bytes, !std::holds_alternative<ParticleBatch>(msg.payload));
+  return bytes;
+}
+
+void PlaneContext::count_sent(std::size_t bytes, bool control) {
+  metrics.messages_sent += 1;
+  metrics.bytes_sent += bytes;
+  if (control) metrics.control_messages_sent += 1;
+}
+
+void RunBoard::begin(const RuntimeConfig& config, int num_blocks,
+                     bool fault_mode, const std::vector<Rank>& ranks,
                      const std::vector<Particle>& presettled,
-                     SharedBlockPool* pool,
                      std::unique_ptr<InvariantChecker>& checker) {
-  checker = make_invariant_checker(config);
+  checker = make_invariant_checker({.protocol = config.checked_protocol,
+                                    .num_ranks = config.num_ranks,
+                                    .num_masters = config.checker_num_masters,
+                                    .num_roots = config.checker_num_roots,
+                                    .num_blocks = num_blocks,
+                                    .cache_blocks = config.cache_blocks,
+                                    .fault_mode = fault_mode,
+                                    .track_queries = true});
   checker_ = checker.get();
+  SharedBlockPool* pool = config.shared_blocks;
   std::map<std::uint32_t, std::uint32_t> remaining;
   std::vector<Particle> snap;
   std::set<std::uint32_t> seen;

@@ -32,44 +32,28 @@ std::vector<Particle>* particle_payload(Message& msg, BlockId& block) {
 }
 }  // namespace
 
-// Per-rank state + the RankContext implementation handed to the program.
-// The block plane holds the rank-side block state; this class is its
-// DES read backend: a read is a disk-channel event.
-class SimRuntime::Context final : public RankContext {
+// The RankContext handed to each simulated rank's program: the shared
+// shell plus the DES clock, the modelled cost of a send, the DES read
+// backend (a read is a disk-channel event) and the fault hooks.
+class SimRuntime::Context final : public PlaneContext {
  public:
   Context(SimRuntime* runtime, SimEngine* engine, SharedDisk* disk,
           Network* network, int rank)
-      : runtime_(runtime),
+      : PlaneContext(rank, runtime->config_, *runtime->decomp_,
+                     runtime->tracer_, *runtime->source_, runtime->checker_,
+                     [engine] { return engine->now(); }),
+        runtime_(runtime),
         engine_(engine),
         disk_(disk),
-        network_(network),
-        rank_(rank),
-        plane_(rank, runtime->config_.cache_blocks, runtime->config_.async_io,
-               runtime->config_.model.particle_memory_bytes,
-               *runtime->source_, metrics, runtime->checker_,
-               [engine] { return engine->now(); }) {}
+        network_(network) {}
 
   // --- RankContext -----------------------------------------------------
 
-  int rank() const override { return rank_; }
-  int num_ranks() const override { return runtime_->config_.num_ranks; }
   double now() const override { return engine_->now(); }
 
-  const BlockDecomposition& decomposition() const override {
-    return *runtime_->decomp_;
-  }
-  const Tracer& tracer() const override { return runtime_->tracer_; }
-  const MachineModel& model() const override {
-    return runtime_->config_.model;
-  }
-
   void send(int to, Message msg) override {
-    msg.from = rank_;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_send(rank_, to, msg, engine_->now()));
-    const std::size_t bytes =
-        message_bytes(msg, runtime_->config_.carry_geometry);
-    count_send(bytes, !std::holds_alternative<ParticleBatch>(msg.payload));
+    const std::size_t bytes = stamp_send(to, msg);
+    metrics.comm_time += network_->endpoint_cost(bytes);
     const SimTime arrive = network_->delivery_time(engine_->now(), bytes);
     if (runtime_->fault_) {
       runtime_->fault_send(rank_, to, arrive, bytes, std::move(msg));
@@ -108,20 +92,6 @@ class SimRuntime::Context final : public RankContext {
     }
   }
 
-  int prefetch_capacity() const override {
-    return plane_.prefetch_capacity();
-  }
-  void pin_block(BlockId id) override { plane_.pin(id); }
-  void unpin_block(BlockId id) override { plane_.unpin(id); }
-  bool block_resident(BlockId id) const override {
-    return plane_.resident(id);
-  }
-  bool block_pending(BlockId id) const override { return plane_.pending(id); }
-  std::vector<BlockId> resident_blocks() const override {
-    return plane_.resident_blocks();
-  }
-  const StructuredGrid* block(BlockId id) override { return plane_.block(id); }
-
   void begin_compute(double seconds, std::uint64_t steps) override {
     if (busy_) {
       throw std::logic_error("begin_compute while busy (program bug)");
@@ -148,10 +118,6 @@ class SimRuntime::Context final : public RankContext {
   }
 
   bool busy() const override { return busy_; }
-
-  void charge_particle_memory(std::int64_t delta_bytes) override {
-    plane_.charge_particle_memory(delta_bytes);
-  }
 
   // --- fault hooks -------------------------------------------------------
 
@@ -185,8 +151,7 @@ class SimRuntime::Context final : public RankContext {
         fs.stats.wasted_duplicate_steps += p.steps - it->second;
       }
     }
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_terminated(rank_, p, first, engine_->now()));
+    SF_INVARIANT_HOOK(checker_, on_terminated(rank_, p, first, engine_->now()));
     if (first) runtime_->board_.note_termination(p, engine_->now());
     return first;
   }
@@ -201,18 +166,12 @@ class SimRuntime::Context final : public RankContext {
 
   // --- runtime-side ------------------------------------------------------
 
-  RankBlockPlane& plane() { return plane_; }
-
-  // Sender-side accounting of one transmission.
-  void count_send(std::size_t bytes, bool control) {
+  // Cost and count of one transport-level control transmission (a
+  // retransmit or an ack).
+  void charge_send(std::size_t bytes) {
     metrics.comm_time += network_->endpoint_cost(bytes);
-    metrics.messages_sent += 1;
-    metrics.bytes_sent += bytes;
-    if (control) metrics.control_messages_sent += 1;
+    count_sent(bytes, /*control=*/true);
   }
-
-  std::unique_ptr<RankProgram> program;
-  RankMetrics metrics;
 
  private:
   bool dead() const { return !runtime_->rank_alive(rank_); }
@@ -315,8 +274,6 @@ class SimRuntime::Context final : public RankContext {
   SimEngine* engine_;
   SharedDisk* disk_;
   Network* network_;
-  int rank_;
-  RankBlockPlane plane_;
   std::map<BlockId, double> demand_since_;  // piggybacked demand times
   bool busy_ = false;
 };
@@ -607,7 +564,7 @@ void SimRuntime::transmit_control(int from, int to, std::uint32_t seq,
     ++p.attempts;
     p.rto = std::min(p.rto * 2.0, config_.fault.control_rto_cap);
     ++fault_->stats.control_retransmits;
-    contexts_[static_cast<std::size_t>(from)]->count_send(p.bytes, true);
+    contexts_[static_cast<std::size_t>(from)]->charge_send(p.bytes);
     transmit_control(from, to, seq,
                      network_->delivery_time(engine_->now(), p.bytes));
   });
@@ -644,7 +601,7 @@ void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
   ack.from = acker;
   ack.payload = ControlAck{seq};
   const std::size_t bytes = message_bytes(ack, config_.carry_geometry);
-  contexts_[static_cast<std::size_t>(acker)]->count_send(bytes, true);
+  contexts_[static_cast<std::size_t>(acker)]->charge_send(bytes);
   // Acks draw from the same lossy link but are never retransmitted: a
   // lost ack just provokes one more (deduped) retransmit of the data.
   if (fs.injector.draw_message_drop()) {
@@ -803,16 +760,8 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
   for (auto& ctx : contexts_) {
     ranks.push_back({ctx->program.get(), &ctx->plane()});
   }
-  board_.begin({.protocol = config_.checked_protocol,
-                 .num_ranks = config_.num_ranks,
-                 .num_masters = config_.checker_num_masters,
-                 .num_roots = config_.checker_num_roots,
-                 .num_blocks = decomp_->num_blocks(),
-                 .cache_blocks = config_.cache_blocks,
-                 .fault_mode = config_.fault.enabled,
-                 .track_queries = true},
-                ranks, config_.fault.presettled,
-                config_.shared_blocks, checker_);
+  board_.begin(config_, decomp_->num_blocks(), config_.fault.enabled, ranks,
+               config_.fault.presettled, checker_);
 
   // Query cancellation plumbing: the tracer consults the cancel set at
   // every advance; scheduled cancel events populate it mid-run.

@@ -31,8 +31,6 @@
 #include "fault/fault_config.hpp"
 #include "fault/injector.hpp"
 #include "fault/ledger.hpp"
-#include "io/async_loader.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rank_context.hpp"
 #include "runtime/run_board.hpp"
@@ -42,52 +40,14 @@
 
 namespace sf {
 
-// A timed query cancellation (service control plane): at simulated time
-// `at`, every still-active particle of `query` terminates as kCancelled
-// at its next advance.
-struct QueryCancelAt {
-  std::uint32_t query = 0;
-  double at = 0.0;
-};
-
-struct SimRuntimeConfig {
-  int num_ranks = 4;
-  MachineModel model{};
-  // LRU capacity per rank, in blocks ("user defined upper bound", §5).
-  std::size_t cache_blocks = 32;
-  // Whether communicated particles carry their recorded trajectory
-  // geometry (the paper's behaviour) or only solver state (§8's proposed
-  // optimization).
-  bool carry_geometry = true;
+// The DES's own settings on top of the shared ones.
+struct SimRuntimeConfig : RuntimeConfig {
   // Record per-rank compute/I/O spans into RunMetrics::timeline for
   // utilization and starvation analysis (§8).  Off by default: large
   // runs generate millions of spans.
   bool record_timeline = false;
   // Fault injection, checkpointing and recovery (DESIGN.md §7).
   FaultConfig fault{};
-  // Which protocol's legality rules the invariant checker enforces
-  // (DESIGN.md §8).  kNone still checks conservation, cache coherence
-  // and termination accounting.  Only meaningful in builds with
-  // SF_CHECK_INVARIANTS; Release runs ignore it entirely.
-  CheckedProtocol checked_protocol = CheckedProtocol::kNone;
-  // Hybrid layout input for the protocol model (ranks [0, n) are masters;
-  // with a tree layout ranks [0, num_roots) of them are the root tier).
-  int checker_num_masters = 0;
-  int checker_num_roots = 0;
-  // Asynchronous block I/O (DESIGN.md §10).  Off by default: the
-  // synchronous path stays bit-identical to the pre-async runtime.
-  // When enabled, prefetch_block() overlaps modeled reads with compute;
-  // prefetched grids wait in a staging area and only enter the LRU
-  // cache (and the load count) when a demand claims them, so the
-  // trajectory and load/purge accounting match the sync path exactly.
-  AsyncIoConfig async_io{};
-  // Cross-query cache sharing (src/service).  Non-owning; nullptr for
-  // standalone runs.  At run start each rank adopts the pool's captured
-  // blocks into its fresh LRU (counted as adoptions, not loads); at run
-  // end the surviving ranks' residency is captured back.
-  SharedBlockPool* shared_blocks = nullptr;
-  // Timed query cancellations, applied through the tracer's cancel set.
-  std::vector<QueryCancelAt> cancels;
 };
 
 class SimRuntime {

@@ -233,8 +233,6 @@ class SpscChannel {
  public:
   explicit SpscChannel(std::size_t ring_slots) : ring_(ring_slots) {}
 
-  std::size_t ring_capacity() const { return ring_.capacity(); }
-
   // Producer side; single producer thread per channel.
   void push(T&& value) SF_EXCLUDES(overflow_mutex_) {
     // lockfree-lint: spsc — overflowed_ is set only by this (single)

@@ -26,22 +26,21 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 }  // namespace
 
-// The block plane holds the rank-side block state; this class is its
-// real read backend: BlockSource::load for a demand miss, and an
-// AsyncBlockLoader future per prefetch.
-class ThreadRuntime::Context final : public RankContext {
+// The RankContext handed to each rank thread's program: the shared shell
+// plus the wall clock, the measured cost of a send, the real read
+// backend (BlockSource::load for a demand miss, an AsyncBlockLoader
+// future per prefetch) and the termination hook.
+class ThreadRuntime::Context final : public PlaneContext {
  public:
   Context(ThreadRuntime* runtime, int rank,
           std::chrono::steady_clock::time_point epoch,
           std::atomic<bool>* abort)
-      : runtime_(runtime),
-        rank_(rank),
+      : PlaneContext(rank, runtime->config_, *runtime->decomp_,
+                     runtime->tracer_, *runtime->source_, runtime->checker_,
+                     [epoch] { return seconds_since(epoch); }),
+        runtime_(runtime),
         epoch_(epoch),
         abort_(abort),
-        plane_(rank, runtime->config_.cache_blocks, runtime->config_.async_io,
-               runtime->config_.model.particle_memory_bytes,
-               *runtime->source_, metrics, runtime->checker_,
-               [epoch] { return seconds_since(epoch); }),
         fuzz_enabled_(runtime->config_.schedule_fuzz_seed != 0) {
     // Derive a distinct per-rank stream from the shared fuzz seed.
     std::uint64_t sm = runtime->config_.schedule_fuzz_seed +
@@ -62,33 +61,15 @@ class ThreadRuntime::Context final : public RankContext {
 
   // --- RankContext -------------------------------------------------------
 
-  int rank() const override { return rank_; }
-  int num_ranks() const override { return runtime_->config_.num_ranks; }
   double now() const override { return seconds_since(epoch_); }
 
-  const BlockDecomposition& decomposition() const override {
-    return *runtime_->decomp_;
-  }
-  const Tracer& tracer() const override { return runtime_->tracer_; }
-  const MachineModel& model() const override {
-    return runtime_->config_.model;
-  }
-
   void send(int to, Message msg) override {
-    msg.from = rank_;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_send(rank_, to, msg, seconds_since(epoch_)));
+    stamp_send(to, msg);
     maybe_perturb();
-    const std::size_t bytes =
-        message_bytes(msg, runtime_->config_.carry_geometry);
-    const bool control = !std::holds_alternative<ParticleBatch>(msg.payload);
     const auto t0 = std::chrono::steady_clock::now();
     runtime_->contexts_[static_cast<std::size_t>(to)]->deliver(
         std::move(msg));
     metrics.comm_time += seconds_since(t0);
-    metrics.messages_sent += 1;
-    metrics.bytes_sent += bytes;
-    if (control) metrics.control_messages_sent += 1;
   }
 
   void request_block(BlockId id) override {
@@ -137,25 +118,10 @@ class ThreadRuntime::Context final : public RankContext {
     maybe_perturb();
   }
 
-  int prefetch_capacity() const override {
-    return plane_.prefetch_capacity();
-  }
-  void pin_block(BlockId id) override { plane_.pin(id); }
-  void unpin_block(BlockId id) override { plane_.unpin(id); }
-  bool block_resident(BlockId id) const override {
-    return plane_.resident(id);
-  }
-  bool block_pending(BlockId id) const override { return plane_.pending(id); }
-  std::vector<BlockId> resident_blocks() const override {
-    return plane_.resident_blocks();
-  }
-  const StructuredGrid* block(BlockId id) override { return plane_.block(id); }
-
   bool log_termination(const Particle& p) override {
     // No fault plane on the thread runtime yet: always a first-time credit.
-    SF_INVARIANT_HOOK(
-        runtime_->checker_,
-        on_terminated(rank_, p, /*first_time=*/true, seconds_since(epoch_)));
+    SF_INVARIANT_HOOK(checker_, on_terminated(rank_, p, /*first_time=*/true,
+                                              seconds_since(epoch_)));
     runtime_->board_.note_termination(p, seconds_since(epoch_));
     return true;
   }
@@ -170,10 +136,6 @@ class ThreadRuntime::Context final : public RankContext {
   }
 
   bool busy() const override { return false; }
-
-  void charge_particle_memory(std::int64_t delta_bytes) override {
-    plane_.charge_particle_memory(delta_bytes);
-  }
 
   // --- thread driver -------------------------------------------------------
 
@@ -227,13 +189,6 @@ class ThreadRuntime::Context final : public RankContext {
     plane_.sync_counters();
   }
 
-  // Touched by the main thread only before the rank threads launch
-  // (adoption) and after they join (capture).
-  RankBlockPlane& plane() { return plane_; }
-
-  std::unique_ptr<RankProgram> program;
-  RankMetrics metrics;
-
  private:
   struct ComputeDone {};
   using LocalEvent = std::variant<BlockId, ComputeDone>;
@@ -269,10 +224,8 @@ class ThreadRuntime::Context final : public RankContext {
     maybe_perturb();
     // Receiver-side accounting happens on the owning thread (the sender
     // must not touch this rank's metrics).
-    metrics.bytes_received +=
-        message_bytes(msg, runtime_->config_.carry_geometry);
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_deliver(rank_, msg, seconds_since(epoch_)));
+    metrics.bytes_received += message_bytes(msg, config_.carry_geometry);
+    SF_INVARIANT_HOOK(checker_, on_deliver(rank_, msg, seconds_since(epoch_)));
     program->on_message(*this, std::move(msg));
   }
 
@@ -331,10 +284,8 @@ class ThreadRuntime::Context final : public RankContext {
   }
 
   ThreadRuntime* runtime_;
-  int rank_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool>* abort_;
-  RankBlockPlane plane_;
   bool fuzz_enabled_;
   Rng fuzz_;
   // The loader future of each in-flight prefetch (empty when async I/O
@@ -365,6 +316,13 @@ ThreadRuntime::ThreadRuntime(const ThreadRuntimeConfig& config,
   }
   if (decomp_ == nullptr || source_ == nullptr) {
     throw std::invalid_argument("ThreadRuntime: null decomposition/source");
+  }
+  for (const QueryCancelAt& c : config_.cancels) {
+    if (c.at > 0.0) {
+      throw std::invalid_argument(
+          "ThreadRuntime: timed query cancels are a SimRuntime feature; "
+          "the thread runtime applies cancels at epoch start");
+    }
   }
 }
 
@@ -402,18 +360,10 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
   for (auto& ctx : contexts_) {
     ranks.push_back({ctx->program.get(), &ctx->plane()});
   }
-  board_.begin({.protocol = config_.checked_protocol,
-                 .num_ranks = config_.num_ranks,
-                 .num_masters = config_.checker_num_masters,
-                 .num_roots = config_.checker_num_roots,
-                 .num_blocks = decomp_->num_blocks(),
-                 .cache_blocks = config_.cache_blocks,
-                 .fault_mode = false,
-                 .track_queries = true},
-                ranks, /*presettled=*/{}, config_.shared_blocks,
-                checker_);
+  board_.begin(config_, decomp_->num_blocks(), /*fault_mode=*/false, ranks,
+               /*presettled=*/{}, checker_);
   cancel_set_.clear();
-  for (std::uint32_t q : config_.cancelled_queries) cancel_set_.cancel(q);
+  for (const QueryCancelAt& c : config_.cancels) cancel_set_.cancel(c.query);
   tracer_.set_cancel_set(&cancel_set_);
 
   std::vector<std::thread> threads;

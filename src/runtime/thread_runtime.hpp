@@ -20,44 +20,23 @@
 #include "core/thread_annotations.hpp"
 #include "core/tracer.hpp"
 #include "io/async_loader.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/rank_context.hpp"
 #include "runtime/run_board.hpp"
 
 namespace sf {
 
-struct ThreadRuntimeConfig {
-  int num_ranks = 4;
-  MachineModel model{};  // memory budgets + per-particle overheads
-  std::size_t cache_blocks = 32;
-  bool carry_geometry = true;
+// The thread runtime's own settings on top of the shared ones.  With
+// async I/O on, one shared AsyncBlockLoader serves every rank's
+// prefetch hints, coalescing reads of the same block across ranks; each
+// rank thread polls its completions, so all cache mutation stays on the
+// owning thread.
+struct ThreadRuntimeConfig : RuntimeConfig {
   // Schedule-perturbation fuzzing (DESIGN.md §8): when non-zero, every
   // rank thread injects seeded random yields/short sleeps at mailbox and
   // cache boundaries so sanitizer runs explore diverse interleavings.
   // 0 disables (the default); results are unaffected either way.
   std::uint64_t schedule_fuzz_seed = 0;
-  // Invariant-checker protocol rules (DESIGN.md §8); kNone still checks
-  // conservation, cache coherence and termination accounting.
-  CheckedProtocol checked_protocol = CheckedProtocol::kNone;
-  int checker_num_masters = 0;
-  int checker_num_roots = 0;
-  // Asynchronous block I/O (DESIGN.md §10).  When enabled, one shared
-  // AsyncBlockLoader serves prefetch hints from every rank; reads for
-  // the same block are coalesced across ranks.  Completions are polled
-  // from the rank thread's event loop, so all cache mutation stays on
-  // the owning thread.  Off by default: request_block stays a plain
-  // synchronous read.
-  AsyncIoConfig async_io{};
-  // Cross-query cache sharing (src/service).  Non-owning; nullptr for
-  // standalone runs.  Adopted into each rank's cache before the threads
-  // start, captured back after they join.
-  SharedBlockPool* shared_blocks = nullptr;
-  // Queries cancelled before the run starts: their particles terminate
-  // as kCancelled at first advance.  Real threads have no deterministic
-  // mid-run instant, so the thread runtime applies cancellations only at
-  // epoch boundaries (timed mid-flight cancels are a SimRuntime feature).
-  std::vector<std::uint32_t> cancelled_queries;
   // Slots per (sender, receiver) mailbox ring (DESIGN.md §14; rounded up
   // to a power of two).  Bursts beyond this spill to the channel's
   // mutex-guarded overflow queue — delivery never blocks and never
@@ -68,6 +47,7 @@ struct ThreadRuntimeConfig {
 
 class ThreadRuntime {
  public:
+  // Throws std::invalid_argument on a cancel with `at > 0`.
   ThreadRuntime(const ThreadRuntimeConfig& config,
                 const BlockDecomposition* decomp, const BlockSource* source,
                 const IntegratorParams& iparams, const TraceLimits& limits);

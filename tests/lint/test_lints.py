@@ -79,7 +79,22 @@ def main() -> int:
         else:
             print(f"ok   {name}")
 
-    print(f"test_lints: {len(CASES) + 2} cases, {len(failures)} failure(s)")
+    # A relative --root must lint the same tree as the absolute one.
+    for script in ("check_protocol.py", "check_lock_order.py"):
+        proc = subprocess.run(
+            [sys.executable, str(LINT / script), "--root", "."],
+            cwd=ROOT, capture_output=True, text=True, check=False)
+        out = proc.stdout + proc.stderr
+        name = f"{script} (--root .)"
+        if proc.returncode != 0 or " 0 problem(s)" not in out:
+            failures.append(name)
+            print(f"FAIL {name}: exit {proc.returncode}")
+            for line in out.splitlines():
+                print(f"  {line}")
+        else:
+            print(f"ok   {name}")
+
+    print(f"test_lints: {len(CASES) + 4} cases, {len(failures)} failure(s)")
     return 1 if failures else 0
 
 

@@ -490,6 +490,14 @@ TEST(Service, RunMetricsAccumulateAndReset) {
   epoch.ranks[1].blocks_adopted = 3;
   epoch.ranks[2].peak_particle_bytes = 512;
   epoch.fault.crashes_injected = 1;
+  epoch.fault.slowdowns_injected = 1;
+  epoch.fault.disk_slow_events = 2;
+  epoch.fault.corruptions_injected = 3;
+  epoch.fault.corruptions_detected = 4;
+  epoch.fault.stragglers_flagged = 5;
+  epoch.fault.particles_speculated = 6;
+  epoch.fault.wasted_duplicate_steps = 7;
+  epoch.fault.straggler_detect_latency = 0.25;
   epoch.query_completions.push_back({4, 1.5, 10});
   Particle p;
   p.id = 3;
@@ -506,6 +514,14 @@ TEST(Service, RunMetricsAccumulateAndReset) {
   EXPECT_EQ(total.ranks[1].blocks_adopted, 6u);
   EXPECT_EQ(total.ranks[2].peak_particle_bytes, 512u);  // max, not sum
   EXPECT_EQ(total.fault.crashes_injected, 2u);
+  EXPECT_EQ(total.fault.slowdowns_injected, 2u);
+  EXPECT_EQ(total.fault.disk_slow_events, 4u);
+  EXPECT_EQ(total.fault.corruptions_injected, 6u);
+  EXPECT_EQ(total.fault.corruptions_detected, 8u);
+  EXPECT_EQ(total.fault.stragglers_flagged, 10u);
+  EXPECT_EQ(total.fault.particles_speculated, 12u);
+  EXPECT_EQ(total.fault.wasted_duplicate_steps, 14u);
+  EXPECT_EQ(total.fault.straggler_detect_latency, 0.5);
   EXPECT_EQ(total.particles.size(), 2u);
   EXPECT_EQ(total.query_completions.size(), 2u);
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "service/service.hpp"
@@ -124,6 +125,19 @@ TEST(ThreadService, EpochBoundaryCancellationDrains) {
   }
   ASSERT_EQ(m.query_completions.size(), 1u);
   EXPECT_EQ(m.query_completions[0].query, 9u);
+}
+
+TEST(ThreadService, TimedCancelIsRejected) {
+  // Real threads have no deterministic mid-run instant, so a cancel
+  // timed after epoch start is a configuration error, not a silent
+  // approximation.
+  auto w = sf::testing::abc_world(2);
+  const auto seeds = seeds_for(w, 4, 78);
+  ExperimentConfig cfg = test_config(Algorithm::kLoadOnDemand, 2);
+  cfg.seed_queries.assign(seeds.size(), 9);
+  cfg.runtime.cancels = {{9, 0.5}};
+  EXPECT_THROW(run_experiment_threads(cfg, w.decomp(), *w.source, seeds),
+               std::invalid_argument);
 }
 
 TEST(ThreadService, SharedCacheWarmsAcrossEpochs) {

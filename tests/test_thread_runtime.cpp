@@ -172,6 +172,35 @@ TEST(ThreadRuntime, ScheduleFuzzMatchesSerialAcrossSeeds) {
   }
 }
 
+TEST(ThreadRuntime, CancelAtStartEndsEveryParticleOfTheQuery) {
+  // Half the seeds belong to query 5, cancelled at run start; the other
+  // half (query 6) must run as usual.
+  auto w = sf::testing::rotor_world(2);
+  Rng rng(15);
+  const auto seeds = random_seeds(w.dataset->bounds(), 12, rng);
+  std::vector<Particle> rejected;
+  std::vector<Particle> particles =
+      make_particles(w.decomp(), seeds, rejected);
+  ASSERT_TRUE(rejected.empty());
+  for (Particle& p : particles) p.query = p.id % 2 == 0 ? 5 : 6;
+
+  ThreadRuntimeConfig cfg = thread_config(3);
+  cfg.cancels = {{5, 0.0}};
+  ThreadRuntime rt(cfg, &w.decomp(), w.source.get(), iparams(), limits());
+  const RunMetrics m = rt.run(make_load_on_demand(
+      &w.decomp(),
+      partition_evenly_by_block(3, w.decomp(), std::move(particles))));
+  ASSERT_EQ(m.particles.size(), seeds.size());
+  for (const Particle& p : m.particles) {
+    if (p.query == 5) {
+      EXPECT_EQ(p.status, ParticleStatus::kCancelled) << "particle " << p.id;
+      EXPECT_EQ(p.steps, 0u) << "particle " << p.id;
+    } else {
+      EXPECT_NE(p.status, ParticleStatus::kCancelled) << "particle " << p.id;
+    }
+  }
+}
+
 TEST(ThreadRuntime, Validation) {
   auto w = sf::testing::rotor_world(2);
   ThreadRuntimeConfig bad = thread_config(0);

@@ -189,6 +189,8 @@ def main() -> int:
                     help="lint exactly these files instead of src/ "
                          "(fixture self-tests)")
     args = ap.parse_args()
+    # A relative root would break Path.relative_to against resolved paths.
+    args.root = args.root.resolve()
 
     if args.files is not None:
         paths = [p.resolve() for p in args.files]

@@ -373,6 +373,8 @@ def main() -> int:
                     help="lint exactly these files instead of src/ "
                          "(fixture self-tests)")
     args = ap.parse_args()
+    # A relative root would break Path.relative_to against resolved paths.
+    args.root = args.root.resolve()
 
     annotations = args.root / "src" / "core" / "thread_annotations.hpp"
     ranks = parse_lock_ranks(annotations.read_text())

@@ -267,6 +267,8 @@ def main() -> int:
                     default=pathlib.Path(__file__).resolve().parents[2],
                     help="repository root (default: two levels up)")
     args = ap.parse_args()
+    # A relative root would break Path.relative_to against resolved paths.
+    args.root = args.root.resolve()
 
     src = args.root / "src"
     message_hpp = (src / "runtime" / "message.hpp").read_text()
